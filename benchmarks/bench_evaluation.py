@@ -1,4 +1,4 @@
-"""Fitness-pipeline benchmark — scalar loop vs batch vs process fan-out.
+"""Fitness-pipeline benchmark — scalar loop vs batch.
 
 The batch-first refactor's tentpole claim: evaluating a fresh (uncached)
 population through ``ProtectionEvaluator.evaluate_many`` is several
@@ -6,17 +6,14 @@ times faster than the scalar ``evaluate`` loop, because the batch path
 computes shared intermediates once (original-side linkage index, rank
 tables, stacked code tensors) and pools the Fellegi–Sunter EM across
 the whole batch.  This bench measures fresh-population throughput at
-2–3 dataset sizes on three paths:
+2–3 dataset sizes on two paths:
 
-* ``serial``  — the scalar reference: ``[evaluator.evaluate(p) ...]``;
-* ``batch``   — ``evaluate_many`` in-process (vectorized kernels);
-* ``process`` — ``evaluate_many`` over a 2-worker process executor.
+* ``serial`` — the scalar reference: ``[evaluator.evaluate(p) ...]``;
+* ``batch``  — ``evaluate_many`` in-process (vectorized kernels).
 
-Every path must return byte-identical scores (asserted), and the batch
+Both paths must return byte-identical scores (asserted), and the batch
 path must beat serial by ``>= 3x`` at the largest size (the acceptance
-headline).  The process row is informational: on a single-core box the
-pickling tax usually wins, which is exactly the thread-vs-process
-guidance the README documents.
+headline).
 
 Sizes default to (300, 600, 1066) Flare records; set
 ``REPRO_BENCH_EVAL_SIZES=120`` (comma-separated) for the CI smoke run —
@@ -36,7 +33,6 @@ from repro.datasets import load_flare, protected_attributes
 from repro.experiments.population_builder import build_initial_population
 from repro.linkage.compressed import clear_pair_memo
 from repro.metrics import ProtectionEvaluator
-from repro.service.backends import create_backend
 
 #: The speedup floor asserted at the largest benched size.
 SPEEDUP_FLOOR = 3.0
@@ -58,9 +54,8 @@ def _population(size: int) -> tuple[CategoricalDataset, list[CategoricalDataset]
     return original, build_initial_population(original, dataset_name="flare", seed=0)
 
 
-def _fresh_evaluator(original: CategoricalDataset, executor=None) -> ProtectionEvaluator:
-    return ProtectionEvaluator(original, protected_attributes("flare"),
-                               executor=executor)
+def _fresh_evaluator(original: CategoricalDataset) -> ProtectionEvaluator:
+    return ProtectionEvaluator(original, protected_attributes("flare"))
 
 
 def test_bench_batch_evaluation_beats_serial():
@@ -84,33 +79,23 @@ def test_bench_batch_evaluation_beats_serial():
         batch_scores = evaluator.evaluate_many(population)
         batch_s = time.perf_counter() - start
 
-        clear_pair_memo()
-        evaluator = _fresh_evaluator(
-            original, executor=create_backend("process", max_workers=2)
-        )
-        start = time.perf_counter()
-        process_scores = evaluator.evaluate_many(population)
-        process_s = time.perf_counter() - start
-
         # Whatever the path, the scores are byte-identical.
         assert batch_scores == serial_scores
-        assert process_scores == serial_scores
 
         speedup = serial_s / batch_s if batch_s else float("inf")
         record_result("evaluation", f"serial-n{size}", serial_s)
         record_result("evaluation", f"batch-n{size}", batch_s, ratio=speedup)
-        record_result("evaluation", f"process-n{size}", process_s)
         if size >= largest_size:
             largest_size, largest_speedup = size, speedup
         rate = len(population) / batch_s
         attrs_rows.append(
             f"n={size:5d}  pop={len(population):4d}  "
             f"serial={serial_s:6.2f}s  batch={batch_s:6.2f}s  "
-            f"process={process_s:6.2f}s  batch-speedup={speedup:4.1f}x  "
+            f"batch-speedup={speedup:4.1f}x  "
             f"({rate:5.0f} cand/s batched)"
         )
 
-    emit("fresh-population evaluation: serial vs batch vs process", "\n".join(attrs_rows))
+    emit("fresh-population evaluation: serial vs batch", "\n".join(attrs_rows))
     if largest_size >= FLOOR_MIN_SIZE:
         assert largest_speedup >= SPEEDUP_FLOOR, (
             f"batch path only {largest_speedup:.1f}x at n={largest_size}; "

@@ -2,9 +2,9 @@
 
 Every bench regenerates one paper artifact (figure series or in-text
 table) and prints the rows the paper plots, so the bench log doubles as
-the reproduction record in EXPERIMENTS.md.  Generation budgets default
-to laptop scale; set ``REPRO_FULL=1`` for 5x longer, closer-to-paper
-runs, or ``REPRO_BENCH_GENERATIONS=<n>`` to pin them exactly.
+the reproduction record.  Generation budgets default to laptop scale;
+set ``REPRO_FULL=1`` for 5x longer, closer-to-paper runs, or
+``REPRO_BENCH_GENERATIONS=<n>`` to pin them exactly.
 """
 
 from __future__ import annotations

@@ -423,8 +423,6 @@ def _run_island_group(args: argparse.Namespace, store, jobs, group: str) -> int:
         backend=args.backend,
         max_workers=args.workers,
         use_cache=not args.no_cache,
-        eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     finals = drive_group(store, worker, [job.job_id for job in jobs])
     failures = 0
@@ -455,8 +453,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         generations=args.generations,
         seed=args.seed,
         drop_best_fraction=args.drop_best,
-        eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     islands = max(1, args.islands)
     if islands > 1:
@@ -863,8 +859,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
         stale_after=args.stale_after,
         capacity=args.capacity,
         heartbeat_every=args.heartbeat_every,
-        eval_workers=args.eval_workers,
-        eval_backend=args.eval_backend,
     )
     if getattr(args, "log_json", False):
         from repro.obs import get_event_log
@@ -1353,18 +1347,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "one JSON object per line")
         add_logging_options(sp)
 
-    def add_eval_options(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--eval-workers", type=int, default=0,
-                        help="parallel fitness evaluation inside each run: fan "
-                             "evaluation batches out over this many workers "
-                             "(0/1 = in-process; results are bit-identical "
-                             "at any setting)")
-        sp.add_argument("--eval-backend", default="thread",
-                        choices=["thread", "process"],
-                        help="pool type for --eval-workers (thread: shared "
-                             "memory, numpy releases the GIL; process: full "
-                             "multi-core, pays pickling per batch)")
-
     p = sub.add_parser("submit", help="submit protection jobs to the service and run them")
     p.add_argument("--dataset", required=True, choices=sorted(PAPER_SPECS))
     p.add_argument("--score", default="max", choices=["mean", "max", "weighted", "power_mean"])
@@ -1390,7 +1372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detach", action="store_true",
                    help="queue the jobs and return; execute later with 'repro worker'")
     add_service_options(p)
-    add_eval_options(p)
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("worker", help="claim and execute queued jobs (see submit --detach)")
@@ -1421,7 +1402,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "interval up to this many seconds, reset on the first "
                         "claim (default: no backoff)")
     add_service_options(p)
-    add_eval_options(p)
     p.set_defaults(fn=cmd_worker)
 
     p = sub.add_parser("serve", help="serve a job store to remote workers over HTTP")

@@ -146,8 +146,7 @@ class EvolutionaryProtector:
         One evaluation batch: the whole population goes through
         :meth:`~repro.metrics.evaluation.ProtectionEvaluator.evaluate_many`,
         so duplicates are collapsed, caches are consulted in bulk, and
-        the fresh remainder is vectorized (and fanned out when the
-        evaluator has an executor).
+        the fresh remainder is vectorized.
         """
         require_population(self.evaluator.original, protections)
         evaluations = self.evaluator.evaluate_many(protections)

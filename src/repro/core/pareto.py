@@ -169,10 +169,9 @@ class ParetoEvolutionaryProtector:
         require_population(self.evaluator.original, initial)
         if len(initial) < 2:
             raise EvolutionError("the Pareto GA needs at least 2 protections")
-        # One evaluation batch for the whole initial population: dedup,
-        # bulk cache rounds, and the evaluator's executor fan-out all
-        # apply (batch[i] == scalar bit-for-bit by the compute_many
-        # contract, so results are unchanged).
+        # One evaluation batch for the whole initial population: dedup
+        # and bulk cache rounds apply (batch[i] == scalar bit-for-bit by
+        # the compute_many contract, so results are unchanged).
         initial_evaluations = self.evaluator.evaluate_many(list(initial))
         population = [
             Individual(dataset=d, evaluation=evaluation, origin="initial")
@@ -196,10 +195,10 @@ class ParetoEvolutionaryProtector:
 
             # Offspring are evaluated as one batch per generation (a
             # singleton for mutation, the sibling pair for crossover):
-            # shared intermediates are computed once, caches are
-            # consulted in bulk, and the evaluator's executor applies.
-            # Evaluation is pure, so the RNG stream — and therefore the
-            # run — is bit-identical to the old scalar calls.
+            # shared intermediates are computed once and caches are
+            # consulted in bulk.  Evaluation is pure, so the RNG stream
+            # — and therefore the run — is bit-identical to the old
+            # scalar calls.
             if self._rng.random() < self.mutation_probability:
                 child_data = mutate(parent.dataset, attributes, seed=self._rng,
                                     name=f"pareto:gen{generation}:mut")

@@ -49,7 +49,6 @@ from repro.experiments.runner import (
     default_generations,
     drop_best,
     run_experiment,
-    run_replicates,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "run_replicates",
     "drop_best",
     "default_generations",
     "experiment1_config",

@@ -1,7 +1,7 @@
 """Figure-ready data series extracted from experiment results.
 
 Each helper returns plain rows/series matching what one paper figure
-plots; the benchmarks print them and EXPERIMENTS.md records them.
+plots; the benchmarks print them as the reproduction record.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ longer, closer-to-paper runs.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.engine import EngineCheckpoint, EvolutionaryProtector, EvolutionResult
 from repro.core.individual import Individual
@@ -25,9 +24,6 @@ from repro.exceptions import ExperimentError
 from repro.experiments.population_builder import build_initial_population
 from repro.metrics.evaluation import ProtectionEvaluator, ScoreCache
 from repro.metrics.score import score_function_by_name
-
-if TYPE_CHECKING:
-    from repro.service.job import JobResult
 
 
 def default_generations(fallback: int = 300) -> int:
@@ -39,16 +35,7 @@ def default_generations(fallback: int = 300) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full specification of one paper run.
-
-    ``eval_workers`` / ``eval_backend`` configure in-run parallel
-    fitness evaluation: with ``eval_workers >= 2`` the evaluator fans
-    fresh evaluation batches out over that many ``thread`` or
-    ``process`` workers.  Evaluation is pure, so these are throughput
-    knobs only — a run's results are bit-identical whatever their
-    values (and they are excluded from job fingerprints for the same
-    reason).
-    """
+    """Full specification of one paper run."""
 
     dataset: str
     score: str = "max"
@@ -59,21 +46,11 @@ class ExperimentConfig:
     mutation_probability: float = 0.5
     leader_fraction: float = 0.1
     selection_strategy: str = "proportional"
-    eval_workers: int = 0
-    eval_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if not 0 <= self.drop_best_fraction < 1:
             raise ExperimentError(
                 f"drop_best_fraction must be in [0, 1), got {self.drop_best_fraction}"
-            )
-        if self.eval_workers < 0:
-            raise ExperimentError(
-                f"eval_workers must be >= 0, got {self.eval_workers}"
-            )
-        if self.eval_backend not in ("thread", "process"):
-            raise ExperimentError(
-                f"eval_backend must be 'thread' or 'process', got {self.eval_backend!r}"
             )
 
 
@@ -135,18 +112,11 @@ def run_experiment(
     """
     original = load_dataset(config.dataset)
     attributes = protected_attributes(config.dataset)
-    executor = None
-    if config.eval_workers >= 2:
-        # Imported lazily: the service layer sits above this module.
-        from repro.service.backends import create_backend
-
-        executor = create_backend(config.eval_backend, max_workers=config.eval_workers)
     evaluator = ProtectionEvaluator(
         original,
         attributes,
         score_function=score_function_by_name(config.score),
         persistent_cache=evaluation_cache,
-        executor=executor,
     )
     engine = EvolutionaryProtector(
         evaluator,
@@ -175,24 +145,3 @@ def run_experiment(
         on_checkpoint=on_checkpoint,
     )
     return ExperimentResult(config=config, result=result, evaluator=evaluator, dropped=dropped)
-
-
-def run_replicates(
-    config: ExperimentConfig,
-    seeds: Sequence[int],
-    backend: str = "serial",
-    max_workers: int | None = None,
-    cache_path: str | None = None,
-) -> "list[JobResult]":
-    """Run one configuration under several seeds through the job service.
-
-    Routes the replicates through :class:`repro.service.runner.JobRunner`
-    (imported lazily — the service layer sits above this module), so the
-    fan-out honours the chosen execution backend and, when ``cache_path``
-    is given, shares one persistent evaluation cache across replicates.
-    """
-    from repro.service.job import ProtectionJob
-    from repro.service.runner import JobRunner
-
-    runner = JobRunner(backend=backend, max_workers=max_workers, cache_path=cache_path)
-    return runner.run_replicates(ProtectionJob.from_config(config), seeds)

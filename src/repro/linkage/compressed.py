@@ -28,7 +28,8 @@ Two layers of sharing keep repeated evaluations cheap:
   attributes) fingerprints lets the three linkage measures of one
   evaluation — and all candidates of one evaluation batch — share their
   :class:`CompressedPair` objects.  Thread-locality makes the memo safe
-  under the batch evaluator's thread executor without any locking.
+  under the service's thread job backend (concurrent jobs in one
+  process) without any locking.
 """
 
 from __future__ import annotations
@@ -301,9 +302,9 @@ def get_compressed_pair(
     Within one candidate evaluation the three linkage measures hit the
     same pair; within one evaluation batch each measure's pass over the
     candidates re-hits the pairs the first measure built.  Thread-local
-    storage keeps the memo coherent under the batch evaluator's thread
-    executor without locking (each worker thread evaluates disjoint
-    candidates, so sharing across threads would buy nothing).
+    storage keeps the memo coherent under the service's thread job
+    backend without locking (each worker thread runs its own job, so
+    sharing across threads would buy nothing).
     """
     memo: OrderedDict[tuple, CompressedPair] | None
     memo = getattr(_PAIR_MEMO, "pairs", None)

@@ -17,12 +17,10 @@ lever of the reproduction.
 The evaluator is *batch-first*: :meth:`ProtectionEvaluator.evaluate_many`
 dedupes a candidate batch by fingerprint, consults the in-memory memo
 and the persistent cache in bulk, and pushes only the fresh remainder
-through the measures' vectorized batch kernels — optionally fanned out
-over a pluggable executor (any object with the
-:class:`repro.service.backends.ExecutionBackend` ``map`` surface).
-Evaluation is pure, so ``evaluate_many`` returns exactly what mapping
+through the measures' vectorized batch kernels, in-process.  Evaluation
+is pure, so ``evaluate_many`` returns exactly what mapping
 :meth:`ProtectionEvaluator.evaluate` would, whatever the batch
-composition or worker count.
+composition.
 """
 
 from __future__ import annotations
@@ -146,9 +144,9 @@ def _score_candidates(
 ) -> "list[ProtectionScore]":
     """Score a batch through the measures' vectorized kernels.
 
-    Module-level (and taking the measures explicitly) so the process
-    executor can pickle it; the per-candidate aggregation mirrors the
-    scalar :meth:`ProtectionEvaluator.evaluate` arithmetic exactly.
+    The per-candidate aggregation is the one implementation of the
+    measure arithmetic: the scalar :meth:`ProtectionEvaluator.evaluate`
+    path calls it with a singleton batch.
     """
     il_values = [(m.measure_name, m.compute_many(batch)) for m in il_measures]
     dr_values = [(m.measure_name, m.compute_many(batch)) for m in dr_measures]
@@ -168,12 +166,6 @@ def _score_candidates(
             )
         )
     return results
-
-
-def _score_candidates_payload(payload: tuple) -> "list[ProtectionScore]":
-    """Executor entry point: unpack one chunk's payload and score it."""
-    il_measures, dr_measures, score_function, chunk = payload
-    return _score_candidates(il_measures, dr_measures, score_function, chunk)
 
 
 def default_il_measures(
@@ -219,13 +211,6 @@ class ProtectionEvaluator:
         Optional :class:`ScoreCache` consulted on in-memory misses and
         fed every fresh evaluation, so repeated runs and restarted jobs
         skip already-scored candidates.
-    executor:
-        Optional evaluation executor for :meth:`evaluate_many`'s fresh
-        remainder — any object with the
-        :class:`repro.service.backends.ExecutionBackend` ``map`` surface
-        (``thread`` for numpy's GIL-releasing kernels, ``process`` for
-        full multi-core fan-out).  ``None`` evaluates in-process.
-        Evaluation is pure, so the executor never changes results.
     """
 
     def __init__(
@@ -237,7 +222,6 @@ class ProtectionEvaluator:
         score_function: ScoreFunction | None = None,
         cache_size: int = 8192,
         persistent_cache: ScoreCache | None = None,
-        executor: object | None = None,
     ) -> None:
         if cache_size < 0:
             raise MetricError(f"cache_size must be >= 0, got {cache_size}")
@@ -259,7 +243,6 @@ class ProtectionEvaluator:
         self._cache_size = cache_size
         self._cache: OrderedDict[bytes, ProtectionScore] = OrderedDict()
         self.persistent_cache = persistent_cache
-        self.executor = executor
         self._config_fingerprint: str | None = None
         self.evaluations = 0
         self.cache_hits = 0
@@ -380,7 +363,7 @@ class ProtectionEvaluator:
         3. look the remainder up in the persistent cache *in bulk* (one
            ``get_many`` round instead of N ``get`` calls);
         4. run the fresh remainder through the measures' vectorized
-           batch kernels — in-process, or chunked over ``executor``;
+           batch kernels, in-process;
         5. store fresh scores back (bulk ``put_many``) and fan results
            out to the original batch positions.
 
@@ -449,7 +432,9 @@ class ProtectionEvaluator:
         if missing:
             fresh_candidates = [candidates[slots[key][0]] for key in missing]
             start = time.perf_counter()
-            fresh_scores = self._evaluate_fresh(fresh_candidates)
+            fresh_scores = _score_candidates(
+                self.il_measures, self.dr_measures, self.score_function, fresh_candidates
+            )
             elapsed = time.perf_counter() - start
             self.fresh_seconds += elapsed
             self.evaluations += len(missing)
@@ -478,34 +463,6 @@ class ProtectionEvaluator:
                         time.perf_counter() - trace_started,
                         size=len(candidates), fresh=len(missing))
         return results  # type: ignore[return-value]
-
-    def _evaluate_fresh(self, candidates: list[CategoricalDataset]) -> list[ProtectionScore]:
-        """Run fresh candidates through the batch kernels, maybe in parallel.
-
-        Chunks the batch across the executor's workers; a chunk is the
-        unit a worker vectorizes over, and chunk boundaries never change
-        results (every batch kernel is candidate-independent).  Batches
-        of one, or evaluators without an executor, score in-process.
-        """
-        executor = self.executor
-        if executor is None or len(candidates) < 2:
-            return _score_candidates(
-                self.il_measures, self.dr_measures, self.score_function, candidates
-            )
-        import os
-
-        workers = getattr(executor, "max_workers", None) or os.cpu_count() or 1
-        chunk_size = max(1, -(-len(candidates) // workers))
-        chunks = [
-            candidates[start : start + chunk_size]
-            for start in range(0, len(candidates), chunk_size)
-        ]
-        payloads = [
-            (self.il_measures, self.dr_measures, self.score_function, chunk)
-            for chunk in chunks
-        ]
-        scored = executor.map(_score_candidates_payload, payloads)
-        return [score for chunk_scores in scored for score in chunk_scores]
 
     def _memoize(self, key: bytes, result: ProtectionScore) -> None:
         if not self._cache_size:

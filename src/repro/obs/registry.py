@@ -12,7 +12,7 @@ Design constraints, in priority order:
 * **Pure observer.**  Telemetry never touches RNG state, fingerprints,
   or stored results; it only reads monotonic clocks and bumps numbers
   under a lock.  Seeded runs are bit-identical with telemetry on or off
-  (regression-tested in ``tests/test_eval_workers_determinism.py``).
+  (regression-tested in ``tests/test_telemetry_determinism.py``).
 * **Off by default, cheap when off.**  Library users pay one attribute
   check per instrumentation point; only the CLI entry points call
   :func:`enable`.  Hot-path overhead with telemetry *on* stays under

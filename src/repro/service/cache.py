@@ -38,13 +38,13 @@ inside one sync window — transiently, and never changing a score.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 import time
 from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.metrics.evaluation import ProtectionScore
+from repro.service.sqlitedb import connect_wal
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS evaluations (
@@ -118,10 +118,8 @@ class EvaluationCache:
         self._entries_at_close = 0
         self._pending_touches: dict[str, float] = {}
         self._puts_since_count = 0
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._conn = connect_wal(self.path)
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(_SCHEMA)
             self._migrate_locked()
             self._conn.commit()

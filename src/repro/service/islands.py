@@ -72,7 +72,6 @@ from repro.experiments.runner import drop_best
 from repro.metrics.evaluation import ProtectionEvaluator
 from repro.metrics.score import score_function_by_name
 from repro.obs import emit_event, get_registry, timeline_from_history, trace
-from repro.service.backends import create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import (
     FORMAT_VERSION,
@@ -171,15 +170,14 @@ def migrants_blob_id(job_id: str) -> str:
 def island_group_id(job: ProtectionJob) -> str:
     """Stable group identity shared by every member of one island search.
 
-    Every island-varying *identity* field except ``island_index`` (and
-    the pure execution fields) participates, so all ``P`` members plus
-    the merge job hash to one group and nothing else does.
+    Every identity field except ``island_index`` participates, so all
+    ``P`` members plus the merge job hash to one group and nothing else
+    does.
     """
-    excluded = set(ProtectionJob._EXECUTION_FIELDS) | {"island_index"}
     payload = {
         key: value
         for key, value in job.to_dict().items()
-        if key not in excluded
+        if key != "island_index"
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return "ig-" + hashlib.sha256(blob).hexdigest()[:12]
@@ -546,20 +544,11 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
         if cache_path
         else None
     )
-    eval_workers = job.eval_workers or int(payload.get("eval_workers") or 0)
-    executor = None
-    if eval_workers >= 2:
-        backend_name = (
-            job.eval_backend if job.eval_workers
-            else str(payload.get("eval_backend") or "thread")
-        )
-        executor = create_backend(backend_name, max_workers=eval_workers)
     evaluator = ProtectionEvaluator(
         original,
         attributes,
         score_function=score_function_by_name(job.score),
         persistent_cache=cache,
-        executor=executor,
     )
     # Rule 1: disjoint, reproducible per-island streams off the run seed.
     stream = np.random.SeedSequence(job.seed).spawn(job.islands)[job.island_index]

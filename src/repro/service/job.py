@@ -40,8 +40,6 @@ class ProtectionJob:
     mutation_probability: float = 0.5
     leader_fraction: float = 0.1
     selection_strategy: str = "proportional"
-    eval_workers: int = 0
-    eval_backend: str = "thread"
     #: Island-model fields (see :mod:`repro.service.islands`): with
     #: ``islands >= 2`` this job is one member of a cooperating group —
     #: ``island_index`` in ``[0, islands)`` runs one population on its
@@ -54,12 +52,6 @@ class ProtectionJob:
     migrate_every: int = 0
     migrants: int = 0
     topology: str = ""
-
-    #: Pure throughput knobs: evaluation is pure, so these can never
-    #: change a run's results and must not change its identity — the
-    #: same job run with 1 or 8 evaluation workers is the same job (and
-    #: old stores' fingerprints stay valid).
-    _EXECUTION_FIELDS = frozenset({"eval_workers", "eval_backend"})
 
     #: The island-model fields.  Excluded from the fingerprint while
     #: inactive (``islands <= 1``) so every pre-island job keeps its
@@ -74,13 +66,10 @@ class ProtectionJob:
     def fingerprint(self) -> str:
         """Stable content hash: equal jobs hash equal, always.
 
-        Covers every field that can change the run's results; execution
-        fields (:attr:`_EXECUTION_FIELDS`) are excluded, and the island
-        fields (:attr:`_ISLAND_FIELDS`) only count while active.
+        Covers every field that can change the run's results; the
+        island fields (:attr:`_ISLAND_FIELDS`) only count while active.
         """
-        excluded = self._EXECUTION_FIELDS
-        if self.islands <= 1:
-            excluded = excluded | self._ISLAND_FIELDS
+        excluded = self._ISLAND_FIELDS if self.islands <= 1 else frozenset()
         payload = {
             key: value
             for key, value in asdict(self).items()
@@ -121,14 +110,26 @@ class ProtectionJob:
         """JSON-ready representation (inverse of :meth:`from_dict`)."""
         return asdict(self)
 
+    #: Fields older releases wrote into every job dict (in-run
+    #: evaluation fan-out settings).  They never changed results or
+    #: fingerprints, so records carrying them load with the keys dropped.
+    _RETIRED_FIELDS = frozenset({"eval_workers", "eval_backend"})
+
     @classmethod
     def from_dict(cls, payload: dict) -> "ProtectionJob":
-        """Rebuild a job from :meth:`to_dict` output."""
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        """Rebuild a job from :meth:`to_dict` output.
+
+        Retired keys (:attr:`_RETIRED_FIELDS`) from older records are
+        dropped; any other unknown field is rejected.
+        """
+        fields = {
+            key: value for key, value in payload.items()
+            if key not in cls._RETIRED_FIELDS
+        }
+        unknown = set(fields) - set(cls.__dataclass_fields__)
         if unknown:
             raise ServiceError(f"unknown job fields: {sorted(unknown)}")
-        return cls(**payload)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,12 @@
 pluggable :mod:`execution backend <repro.service.backends>` — serially,
 on a thread pool, or on a process pool — while threading the shared
 persistent evaluation cache and per-job checkpoint files through every
-worker.  Three fan-out shapes cover the workloads the experiments need:
+worker.  Two fan-out shapes cover the workloads the experiments need:
 
 * :meth:`JobRunner.run` / :meth:`JobRunner.run_replicates` — multi-seed
   experiment replicates;
 * :meth:`JobRunner.run_grid` — method-comparison grids over datasets,
-  score functions and seeds;
-* :meth:`JobRunner.score_population` — scoring an initial population of
-  protected files in parallel batches.
+  score functions and seeds.
 
 Because the GA is deterministic per seed and cache hits return exactly
 the stored computation, every backend produces byte-identical scores for
@@ -23,16 +21,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.data.dataset import CategoricalDataset
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ServiceError
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.metrics.evaluation import ProtectionEvaluator, ProtectionScore
-from repro.metrics.score import score_function_by_name
 from repro.obs import timeline_from_history, trace
-from repro.service.backends import ExecutionBackend, SerialBackend, create_backend
+from repro.service.backends import ExecutionBackend, create_backend
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import CheckpointManager
 from repro.service.islands import IslandParked, register_store, store_spec_of
@@ -76,9 +71,6 @@ def _execute_job(payload: dict) -> JobResult:
 
     ``payload`` is a plain dict (picklable for the process backend):
     the job's own dict plus cache / checkpoint / resume directives.
-    A runner-level ``eval_workers`` is the worker's default for jobs
-    that did not pin their own — evaluation is pure, so the override
-    can never change the job's results (or its identity).
     """
     job = ProtectionJob.from_dict(payload["job"])
     if job.islands >= 2:
@@ -89,13 +81,6 @@ def _execute_job(payload: dict) -> JobResult:
 
         return execute_island_job(payload)
     config = job.to_config()
-    runner_eval_workers = int(payload.get("eval_workers") or 0)
-    if config.eval_workers == 0 and runner_eval_workers:
-        config = replace(
-            config,
-            eval_workers=runner_eval_workers,
-            eval_backend=str(payload.get("eval_backend") or "thread"),
-        )
     cache_path = payload.get("cache_path") or ""
     cache_max_entries = payload.get("cache_max_entries") or None
     checkpoint_path = payload.get("checkpoint_path") or ""
@@ -185,28 +170,6 @@ def _execute_job_settled(payload: dict) -> dict:
         }
 
 
-def _score_batch(payload: tuple) -> list[ProtectionScore]:
-    """Score one batch of protected files against a rebuilt evaluator.
-
-    Goes through :meth:`ProtectionEvaluator.evaluate_many`, so each
-    batch dedupes its candidates, consults the persistent cache in one
-    bulk round, and vectorizes the fresh remainder.
-    """
-    original, protections, attributes, score_name, cache_path = payload
-    cache = EvaluationCache(cache_path) if cache_path else None
-    evaluator = ProtectionEvaluator(
-        original,
-        attributes,
-        score_function=score_function_by_name(score_name),
-        persistent_cache=cache,
-    )
-    try:
-        return evaluator.evaluate_many(protections)
-    finally:
-        if cache is not None:
-            cache.close()
-
-
 @dataclass(frozen=True)
 class JobOutcome:
     """Settled outcome of one job: a result, an error, or a park.
@@ -259,12 +222,6 @@ class JobRunner:
         ``<checkpoint_dir>/<job_id>.json`` and can be resumed.
     checkpoint_every:
         Generations between checkpoint writes; 0 disables.
-    eval_workers / eval_backend:
-        Default in-run parallel-evaluation setting applied to jobs that
-        did not pin their own ``eval_workers``: with ``eval_workers >=
-        2``, each run's evaluator fans fresh evaluation batches out
-        over that many ``thread`` or ``process`` workers.  Evaluation
-        is pure — these change throughput, never results.
     store:
         The job store island-group jobs exchange migrants and durable
         segment checkpoints through.  In-process backends reach the
@@ -281,8 +238,6 @@ class JobRunner:
         cache_max_entries: int | None = None,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 0,
-        eval_workers: int = 0,
-        eval_backend: str = "thread",
         store: object | None = None,
     ) -> None:
         if checkpoint_every < 0:
@@ -291,19 +246,11 @@ class JobRunner:
             raise ServiceError(
                 f"cache_max_entries must be >= 1, got {cache_max_entries}"
             )
-        if eval_workers < 0:
-            raise ServiceError(f"eval_workers must be >= 0, got {eval_workers}")
-        if eval_backend not in ("thread", "process"):
-            raise ServiceError(
-                f"eval_backend must be 'thread' or 'process', got {eval_backend!r}"
-            )
         self.backend = create_backend(backend, max_workers)
         self.cache_path = str(cache_path) if cache_path else ""
         self.cache_max_entries = cache_max_entries
         self.checkpoint_dir = str(checkpoint_dir) if checkpoint_dir else ""
         self.checkpoint_every = checkpoint_every
-        self.eval_workers = int(eval_workers)
-        self.eval_backend = eval_backend
         self.store = store
         self._store_ref = register_store(store) if store is not None else ""
         self._store_spec, self._store_token = (
@@ -330,8 +277,6 @@ class JobRunner:
             "checkpoint_path": self.checkpoint_path(job),
             "checkpoint_every": self.checkpoint_every,
             "resume": resume,
-            "eval_workers": self.eval_workers,
-            "eval_backend": self.eval_backend,
             # Trace context crosses the (possibly process) backend
             # boundary inside the payload; None for untraced jobs.
             "trace": trace_ctx,
@@ -430,43 +375,6 @@ class JobRunner:
     ) -> list[JobResult]:
         """Build and execute a comparison grid in one call."""
         return self.run(self.grid(datasets, scores, seeds, **params))
-
-    def score_population(
-        self,
-        original: CategoricalDataset,
-        protections: Sequence[CategoricalDataset],
-        attributes: Sequence[str] | None = None,
-        score: str = "max",
-        batch_size: int | None = None,
-    ) -> list[ProtectionScore]:
-        """Score an initial population in parallel batches.
-
-        The population is split into backend-sized batches, each scored
-        by a worker-local evaluator that shares this runner's persistent
-        cache; scores return in population order.
-        """
-        if not protections:
-            return []
-        attrs = tuple(attributes) if attributes is not None else original.attribute_names
-        if batch_size is None:
-            import os
-
-            if isinstance(self.backend, SerialBackend):
-                # One batch: no parallelism to feed, so no reason to pay
-                # per-batch evaluator and cache-connection setup.
-                workers = 1
-            else:
-                workers = getattr(self.backend, "max_workers", None) or os.cpu_count() or 1
-            batch_size = max(1, -(-len(protections) // workers))
-        batches = [
-            tuple(protections[i : i + batch_size])
-            for i in range(0, len(protections), batch_size)
-        ]
-        payloads = [
-            (original, batch, attrs, score, self.cache_path) for batch in batches
-        ]
-        scored = self.backend.map(_score_batch, payloads)
-        return [result for batch in scored for result in batch]
 
     def __repr__(self) -> str:
         return (

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 import time
 from contextlib import contextmanager
@@ -48,6 +47,7 @@ from pathlib import Path
 
 from repro.exceptions import ServiceError, WorkerError
 from repro.service.job import JobResult, ProtectionJob
+from repro.service.sqlitedb import connect_wal
 from repro.service.store import (
     COMPLETED,
     FAILED,
@@ -124,12 +124,8 @@ class SqliteJobStore:
         # isolation_level=None: autocommit, with explicit BEGIN
         # IMMEDIATE transactions where multi-statement atomicity (and
         # cross-process exclusion) is the point.
-        self._conn = sqlite3.connect(self.path, check_same_thread=False,
-                                     isolation_level=None)
+        self._conn = connect_wal(self.path, isolation_level=None)
         with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute("PRAGMA busy_timeout=10000")
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",

@@ -222,10 +222,6 @@ class Worker:
     heartbeat_every:
         Seconds between claim heartbeats; defaults to ``stale_after / 4``
         so a single missed beat never looks like a death.
-    eval_workers / eval_backend:
-        Default in-run parallel fitness evaluation for jobs that did
-        not pin their own ``eval_workers`` (pure throughput — results
-        are bit-identical whatever the worker count).
     """
 
     def __init__(
@@ -239,8 +235,6 @@ class Worker:
         stale_after: float = 3600.0,
         capacity: int = 1,
         heartbeat_every: float | None = None,
-        eval_workers: int = 0,
-        eval_backend: str = "thread",
     ) -> None:
         if stale_after <= 0:
             raise WorkerError(f"stale_after must be positive, got {stale_after}")
@@ -253,12 +247,6 @@ class Worker:
         # Fail fast on bad runner configuration: discovering it only
         # after claiming and marking a job running would strand records.
         create_backend(backend, max_workers)
-        if eval_workers < 0:
-            raise WorkerError(f"eval_workers must be >= 0, got {eval_workers}")
-        if eval_backend not in ("thread", "process"):
-            raise WorkerError(
-                f"eval_backend must be 'thread' or 'process', got {eval_backend!r}"
-            )
         if cache_max_entries is not None and cache_max_entries < 1:
             raise WorkerError(
                 f"cache_max_entries must be >= 1, got {cache_max_entries}"
@@ -271,8 +259,6 @@ class Worker:
         self.worker_id = worker_id or unique_owner()
         self.stale_after = float(stale_after)
         self.capacity = int(capacity)
-        self.eval_workers = int(eval_workers)
-        self.eval_backend = eval_backend
         self.heartbeat_every = (
             float(heartbeat_every) if heartbeat_every is not None
             else self.stale_after / 4.0
@@ -298,8 +284,6 @@ class Worker:
             cache_max_entries=self.cache_max_entries,
             checkpoint_dir=str(self.store.checkpoints_dir),
             checkpoint_every=int(record.extras.get("checkpoint_every", 0)),
-            eval_workers=self.eval_workers,
-            eval_backend=self.eval_backend,
             # Island-group jobs exchange migrants and durable segment
             # checkpoints through this worker's store.
             store=self.store,

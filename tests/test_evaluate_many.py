@@ -3,7 +3,7 @@
 The batch protocol's contract is bit-identity: for every measure and
 every score function, scoring a batch must return exactly what scoring
 each candidate alone returns — same floats, same components — whatever
-the batch composition, chunking, executor, or cache state.  These tests
+the batch composition, chunking, or cache state.  These tests
 pin that contract for every IL/DR measure, the full evaluator, the
 batched Fellegi–Sunter EM, and the bulk cache surface.
 """
@@ -21,7 +21,6 @@ from repro.metrics.evaluation import (
     default_il_measures,
 )
 from repro.metrics.score import score_function_by_name
-from repro.service.backends import create_backend
 from repro.service.cache import EvaluationCache
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
@@ -218,42 +217,6 @@ class TestEvaluatorBatch:
         fresh.evaluate_many(maskings[:3])
         assert fresh.persistent_hits == 3
         assert fresh.evaluations == 0
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("backend,workers", [("thread", 2), ("thread", 4)])
-    def test_thread_executor_identical(self, batch_data, backend, workers):
-        original, maskings = batch_data
-        reference = ProtectionEvaluator(original, ATTRS)
-        parallel = ProtectionEvaluator(
-            original, ATTRS, executor=create_backend(backend, max_workers=workers)
-        )
-        assert parallel.evaluate_many(maskings) == [
-            reference.evaluate(m) for m in maskings
-        ]
-
-    def test_process_executor_identical(self, batch_data):
-        original, maskings = batch_data
-        reference = ProtectionEvaluator(original, ATTRS)
-        parallel = ProtectionEvaluator(
-            original, ATTRS, executor=create_backend("process", max_workers=2)
-        )
-        assert parallel.evaluate_many(maskings[:6]) == [
-            reference.evaluate(m) for m in maskings[:6]
-        ]
-
-    def test_singleton_skips_executor(self, batch_data):
-        original, maskings = batch_data
-
-        class ExplodingExecutor:
-            max_workers = 2
-
-            def map(self, fn, items):  # pragma: no cover - must not run
-                raise AssertionError("executor used for a singleton batch")
-
-        evaluator = ProtectionEvaluator(original, ATTRS, executor=ExplodingExecutor())
-        reference = ProtectionEvaluator(original, ATTRS)
-        assert evaluator.evaluate_many([maskings[0]]) == [reference.evaluate(maskings[0])]
 
 
 class TestCacheBulkSurface:

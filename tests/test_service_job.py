@@ -34,6 +34,25 @@ class TestProtectionJob:
         with pytest.raises(ServiceError):
             ProtectionJob.from_dict({"dataset": "adult", "bogus": 1})
 
+    @pytest.mark.parametrize("workers,backend", [(0, "thread"), (4, "process")])
+    def test_legacy_eval_fields_load_with_pinned_id(self, workers, backend):
+        # The dict older releases wrote for ProtectionJob(dataset="flare",
+        # seed=1), when every job carried in-run evaluation settings.
+        legacy = {
+            "dataset": "flare", "score": "max", "generations": 300, "seed": 1,
+            "population_seed": 0, "drop_best_fraction": 0.0,
+            "mutation_probability": 0.5, "leader_fraction": 0.1,
+            "selection_strategy": "proportional",
+            "eval_workers": workers, "eval_backend": backend,
+            "islands": 0, "island_index": 0, "migrate_every": 0,
+            "migrants": 0, "topology": "",
+        }
+        job = ProtectionJob.from_dict(legacy)
+        assert job == ProtectionJob(dataset="flare", seed=1)
+        assert job.job_id == "flare-s1-49721e3c27"
+        with pytest.raises(ServiceError, match="bogus"):
+            ProtectionJob.from_dict({**legacy, "bogus": 1})
+
     def test_config_roundtrip(self):
         config = ExperimentConfig(dataset="adult", score="max", generations=5, seed=9)
         job = ProtectionJob.from_config(config)

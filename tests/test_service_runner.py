@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.experiments import ExperimentConfig, run_replicates
 from repro.service import JobRunner, ProtectionJob
 
 JOB = ProtectionJob(dataset="adult", score="max", generations=4, seed=11)
@@ -110,57 +109,9 @@ class TestFanOutShapes:
         }
         assert all(j.generations == 5 for j in jobs)
 
-    def test_experiments_run_replicates_routes_through_runner(self, service_dirs):
-        config = ExperimentConfig(dataset="adult", score="max", generations=4, seed=11)
-        results = run_replicates(
-            config, SEEDS, backend="serial", cache_path=service_dirs["serial_cache"]
-        )
-        # Fully warm cache: the experiment-layer entry point reuses every
-        # evaluation the earlier module runs stored.
-        assert [r.seed for r in results] == list(SEEDS)
-        assert all(r.fresh_evaluations == 0 for r in results)
-
-    def test_score_population_matches_direct_evaluation(self, small_adult, tmp_path):
-        from repro.metrics import ProtectionEvaluator
-        from repro.methods import Pram, RankSwapping
-
-        attrs = ("EDUCATION", "MARITAL-STATUS", "OCCUPATION")
-        protections = [
-            Pram(theta=0.2).protect(small_adult, attrs, seed=1),
-            RankSwapping(p=3).protect(small_adult, attrs, seed=2),
-            Pram(theta=0.4).protect(small_adult, attrs, seed=3),
-        ]
-        direct = ProtectionEvaluator(small_adult, attrs)
-        expected = [direct.evaluate(p) for p in protections]
-
-        runner = JobRunner(backend="thread", max_workers=2,
-                           cache_path=str(tmp_path / "cache.sqlite"))
-        scored = runner.score_population(small_adult, protections, attrs, batch_size=2)
-        assert scored == expected
-
     def test_invalid_checkpoint_cadence(self):
         with pytest.raises(ServiceError):
             JobRunner(checkpoint_every=-2)
-
-    def test_serial_score_population_uses_one_batch(self, small_adult, monkeypatch):
-        import repro.service.runner as runner_module
-        from repro.methods import Pram
-
-        calls = []
-        original_batch = runner_module._score_batch
-
-        def counting_batch(payload):
-            calls.append(payload)
-            return original_batch(payload)
-
-        monkeypatch.setattr(runner_module, "_score_batch", counting_batch)
-        attrs = ("EDUCATION", "MARITAL-STATUS", "OCCUPATION")
-        protections = [
-            Pram(theta=0.1 * (i + 1)).protect(small_adult, attrs, seed=i) for i in range(5)
-        ]
-        scored = JobRunner(backend="serial").score_population(small_adult, protections, attrs)
-        assert len(scored) == 5
-        assert len(calls) == 1  # serial backend: no per-batch setup overhead
 
 
 class TestSettledExecution:

@@ -19,12 +19,20 @@ def _store(tmp_path) -> ShardedJobStore:
 
 class TestShardedFleetCli:
     def test_detached_submit_lands_on_rendezvous_homes(self, tmp_path, capsys):
+        # Placement hashes shard names; fixed names (not spec strings
+        # holding the tmp path) make the split the same on every run.
+        manifest = tmp_path / "fleet.json"
+        manifest.write_text(json.dumps({"shards": [
+            {"name": "shard-a", "spec": f"sqlite:{tmp_path / 'a.sqlite'}"},
+            {"name": "shard-b", "spec": f"sqlite:{tmp_path / 'b.sqlite'}"},
+        ]}), encoding="utf-8")
+        spec = f"shard:@{manifest}"
         assert main(["submit", "--dataset", "adult", "--generations", "1",
                      "--seeds", "1,2,3,4", "--detach",
-                     "--store", _spec(tmp_path),
+                     "--store", spec,
                      "--state-dir", str(tmp_path / "spool")]) == 0
         assert "queued 4 job(s)" in capsys.readouterr().out
-        store = _store(tmp_path)
+        store = store_from_spec(spec, state_dir=tmp_path / "spool")
         records = store.records()
         assert len(records) == 4
         homes = {store.shard_name_for(r.job_id) for r in records}

@@ -1,11 +1,8 @@
-"""Determinism regression: ``--eval-workers`` never changes a run.
+"""Determinism regression: telemetry never changes a seeded run.
 
-Evaluation is pure and the engine's RNG stream is untouched by how
-fitness batches are executed, so the same seeded run must produce a
-bit-identical history and final population with 1, 2 or 4 evaluation
-workers, on the thread and the process pool alike.  This is the
-guarantee that makes ``eval_workers`` a pure throughput knob (and keeps
-it out of job fingerprints).
+The registry and event log are pure observers, so the same seeded GA
+run and the same worker-drained job must be bit-identical with
+telemetry fully on and fully off.
 """
 
 from __future__ import annotations
@@ -14,9 +11,7 @@ import pytest
 
 from repro.core import EvolutionaryProtector
 from repro.metrics import ProtectionEvaluator
-from repro.service.backends import create_backend
 from repro.service.job import ProtectionJob
-from repro.service.runner import JobRunner
 
 ATTRS = ["EDUCATION", "MARITAL-STATUS", "OCCUPATION"]
 GENERATIONS = 12
@@ -35,8 +30,8 @@ def population(request):
     return adult, protections
 
 
-def run_with_executor(adult, protections, executor):
-    evaluator = ProtectionEvaluator(adult, ATTRS, executor=executor)
+def run_seeded(adult, protections):
+    evaluator = ProtectionEvaluator(adult, ATTRS)
     engine = EvolutionaryProtector(evaluator, seed=SEED)
     return engine.run(protections, stopping=GENERATIONS)
 
@@ -54,23 +49,6 @@ def run_signature(result):
         for ind in result.population
     ]
     return history, population
-
-
-class TestEvalWorkersDeterminism:
-    def test_thread_workers_bit_identical(self, population):
-        adult, protections = population
-        serial = run_signature(run_with_executor(adult, protections, None))
-        for workers in (1, 2, 4):
-            executor = (
-                create_backend("thread", max_workers=workers) if workers > 1 else None
-            )
-            assert run_signature(run_with_executor(adult, protections, executor)) == serial
-
-    def test_process_workers_bit_identical(self, population):
-        adult, protections = population
-        serial = run_signature(run_with_executor(adult, protections, None))
-        executor = create_backend("process", max_workers=2)
-        assert run_signature(run_with_executor(adult, protections, executor)) == serial
 
 
 class TestTelemetryDeterminism:
@@ -107,7 +85,7 @@ class TestTelemetryDeterminism:
     def test_engine_run_bit_identical_with_telemetry(self, population):
         adult, protections = population
         quiet, loud = self.run_pair(
-            lambda _: run_signature(run_with_executor(adult, protections, None))
+            lambda _: run_signature(run_seeded(adult, protections))
         )
         assert quiet == loud
 
@@ -126,37 +104,3 @@ class TestTelemetryDeterminism:
 
         quiet, loud = self.run_pair(run_job)
         assert quiet == loud
-
-
-class TestJobLevelWiring:
-    def test_job_fingerprint_ignores_eval_workers(self):
-        base = ProtectionJob(dataset="flare", seed=1)
-        tuned = ProtectionJob(dataset="flare", seed=1, eval_workers=8,
-                              eval_backend="process")
-        assert base.fingerprint() == tuned.fingerprint()
-        assert base.job_id == tuned.job_id
-
-    def test_job_roundtrip_carries_eval_fields(self):
-        job = ProtectionJob(dataset="flare", eval_workers=3, eval_backend="process")
-        assert ProtectionJob.from_dict(job.to_dict()) == job
-        config = job.to_config()
-        assert config.eval_workers == 3
-        assert config.eval_backend == "process"
-
-    def test_runner_results_identical_across_eval_workers(self):
-        job = ProtectionJob(dataset="flare", generations=6, seed=5,
-                            population_seed=0)
-        serial = JobRunner().run([job])
-        threaded = JobRunner(eval_workers=2).run([job.with_seed(5)])
-        assert serial[0].final_scores == threaded[0].final_scores
-        assert serial[0].best_score == threaded[0].best_score
-        stats = threaded[0].extras.get("evaluator_stats")
-        assert stats and stats["evaluations"] == serial[0].fresh_evaluations
-
-    def test_runner_rejects_bad_eval_config(self):
-        from repro.exceptions import ServiceError
-
-        with pytest.raises(ServiceError):
-            JobRunner(eval_workers=-1)
-        with pytest.raises(ServiceError):
-            JobRunner(eval_backend="serial")
