@@ -13,7 +13,7 @@ from conftest import bench_generations, emit
 from repro.core.pareto import ParetoEvolutionaryProtector
 from repro.datasets import load_flare, protected_attributes
 from repro.experiments import build_initial_population
-from repro.metrics import MaxScore, ProtectionEvaluator
+from repro.metrics import ProtectionEvaluator
 from repro.utils.tables import format_table
 
 

@@ -56,11 +56,11 @@ get_registry().declare_histogram("repro_eval_batch_size", DEFAULT_SIZE_BUCKETS)
 #: Version of the metric kernels' *numerical trajectory*, salted into
 #: every persistent-cache key.  Bump it whenever a kernel change can
 #: move a result by even one ulp (e.g. the EM moving from BLAS matmul
-#: to einsum): a stale cache entry differing in the last bit from a
-#: fresh computation would otherwise break the bit-identity guarantees
-#: (cached vs fresh, resume-across-kill).  Bumping only costs warm
-#: caches a recompute.
-METRIC_KERNEL_VERSION = 2
+#: to einsum in v2, then to the product-form update rule in v3): a stale
+#: cache entry differing in the last bit from a fresh computation would
+#: otherwise break the bit-identity guarantees (cached vs fresh,
+#: resume-across-kill).  Bumping only costs warm caches a recompute.
+METRIC_KERNEL_VERSION = 3
 
 
 @dataclass(frozen=True)

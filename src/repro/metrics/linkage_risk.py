@@ -44,13 +44,14 @@ class ProbabilisticLinkageRisk(DisclosureRiskMeasure):
         return get_compressed_pair(self.original, masked, self.attributes).probabilistic_linkage()
 
     def _compute_many(self, batch: Sequence[CategoricalDataset]) -> np.ndarray:
-        """Batched PRL: one pooled EM fit over the whole candidate batch.
+        """Batched PRL: one EM fit call for the whole candidate batch.
 
-        The EM loop dominates evaluation time (hundreds of tiny-array
-        iterations per candidate); :func:`fit_fellegi_sunter_many` runs
-        every candidate's iterations through one set of batch-wide numpy
-        calls, with per-candidate trajectories — and therefore results —
-        identical to the scalar fit.
+        The EM loop dominates evaluation time (hundreds of iterations
+        over ``2^a`` patterns per candidate).  :func:`fit_fellegi_sunter_many`
+        fits the GA's small batches candidate by candidate on Python
+        floats and large ones on numpy columns, running one update rule
+        both ways, so every candidate's weights — and therefore its
+        result — are bit for bit those of the scalar fit.
         """
         pairs = [
             get_compressed_pair(self.original, masked, self.attributes)

@@ -13,8 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.data import CategoricalDataset
-from repro.linkage.prl import fit_fellegi_sunter, fit_fellegi_sunter_many
+from repro.exceptions import LinkageError
+from repro.linkage.prl import (
+    _ROW_PATH_MAX_BATCH,
+    EM_ITERATION_BUCKETS,
+    fit_fellegi_sunter,
+    fit_fellegi_sunter_many,
+)
 from repro.metrics.evaluation import (
     ProtectionEvaluator,
     default_dr_measures,
@@ -95,6 +102,78 @@ class TestMeasureBatchEquivalence:
         assert stack["interval_disclosure"].compute_many(identity)[0] == 100.0
 
 
+EPS = 1e-9
+
+
+def reference_em(counts, n_attributes, max_iterations=200, tolerance=1e-8):
+    """The pre-v3 EM kernel (``exp(sum(log))`` likelihoods), one row at a time.
+
+    A test-only copy kept to bound how far the product-form kernel may
+    drift from it: ``(m, u, match_proportion, pattern_weights, iterations)``.
+    """
+    bits = ((np.arange(2**n_attributes)[:, None] >> np.arange(n_attributes)) & 1).astype(float)
+    m = np.full(n_attributes, 0.9)
+    u = np.full(n_attributes, 0.1)
+    match_proportion = 0.01
+    total = counts.sum()
+    previous = -np.inf
+    iterations = 0
+    for _ in range(max_iterations):
+        lm = np.exp(bits @ np.log(m + EPS) + (1 - bits) @ np.log(1 - m + EPS))
+        lu = np.exp(bits @ np.log(u + EPS) + (1 - bits) @ np.log(1 - u + EPS))
+        match = match_proportion * lm
+        density = match + (1 - match_proportion) * lu + EPS
+        weighted = counts * match / density
+        weight_total = weighted.sum()
+        rest_total = total - weight_total
+        if weight_total <= EPS or rest_total <= EPS:
+            break
+        m = np.clip(weighted @ bits / weight_total, EPS, 1 - EPS)
+        u = np.clip((counts - weighted) @ bits / rest_total, EPS, 1 - EPS)
+        match_proportion = float(np.clip(weight_total / total, EPS, 1 - EPS))
+        iterations += 1
+        loglik = counts @ np.log(density)
+        if abs(loglik - previous) < tolerance * (1 + abs(previous)):
+            break
+        previous = loglik
+    weights = bits @ (np.log(m + EPS) - np.log(u + EPS)) + (1 - bits) @ (
+        np.log(1 - m + EPS) - np.log(1 - u + EPS)
+    )
+    return m, u, match_proportion, weights, iterations
+
+
+def linkage_counts(rng, batch, n_attributes):
+    """Pattern counts shaped like a linkage attack's: n matches among n^2 pairs.
+
+    Each row draws its own file size and agreement rates, so rows
+    converge after different numbers of iterations (or hit the cap).
+    """
+    patterns = np.arange(2**n_attributes)
+    bits = (patterns[:, None] >> np.arange(n_attributes)) & 1
+    rows = []
+    for _ in range(batch):
+        n = int(rng.integers(50, 1500))
+        m_true = rng.uniform(0.55, 0.99, n_attributes)
+        u_true = rng.uniform(0.02, 0.5, n_attributes)
+        p_match = np.prod(np.where(bits, m_true, 1 - m_true), axis=1)
+        p_non = np.prod(np.where(bits, u_true, 1 - u_true), axis=1)
+        rows.append(rng.multinomial(n, p_match) + rng.multinomial(n * (n - 1), p_non))
+    return np.array(rows, dtype=np.float64)
+
+
+def assert_rows_identical(batch, row, single):
+    assert np.array_equal(single.m, batch.m[row])
+    assert np.array_equal(single.u, batch.u[row])
+    assert single.match_proportion == batch.match_proportion[row]
+    assert np.array_equal(single.pattern_weights, batch.pattern_weights[row])
+    assert single.iterations == batch.iterations[row]
+    assert single.converged == batch.converged[row]
+
+
+#: Batch sizes on both sides of the row/column switch.
+SWITCH_SIZES = [1, _ROW_PATH_MAX_BATCH, _ROW_PATH_MAX_BATCH + 1, 16, 104]
+
+
 class TestBatchEM:
     def test_batched_fit_is_row_independent(self):
         rng = np.random.default_rng(11)
@@ -102,19 +181,93 @@ class TestBatchEM:
         counts[:, 0] += 1  # never all-zero rows
         batch = fit_fellegi_sunter_many(counts, 3)
         for row in range(counts.shape[0]):
-            single = fit_fellegi_sunter(counts[row], 3)
-            assert np.array_equal(single.m, batch.m[row])
-            assert np.array_equal(single.u, batch.u[row])
-            assert single.match_proportion == batch.match_proportion[row]
-            assert np.array_equal(single.pattern_weights, batch.pattern_weights[row])
+            assert_rows_identical(batch, row, fit_fellegi_sunter(counts[row], 3))
+
+    @pytest.mark.parametrize("n_attributes", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", SWITCH_SIZES)
+    def test_identity_across_the_path_switch(self, size, n_attributes):
+        counts = linkage_counts(np.random.default_rng(size * 10 + n_attributes), size,
+                                n_attributes)
+        batch = fit_fellegi_sunter_many(counts, n_attributes)
+        assert len(batch) == size
+        for row in range(size):
+            assert_rows_identical(batch, row, fit_fellegi_sunter(counts[row], n_attributes))
+
+    @pytest.mark.parametrize("size", SWITCH_SIZES)
+    def test_rows_stop_independently_with_custom_limits(self, size):
+        """Different stopping iterations, a degenerate row, non-default limits."""
+        counts = linkage_counts(np.random.default_rng(size), size, 3)
+        counts[size // 2] = 1e-10  # total below EPS: degenerate before any update
+        limits = {"max_iterations": 40, "tolerance": 1e-6}
+        batch = fit_fellegi_sunter_many(counts, 3, **limits)
+        for row in range(size):
+            assert_rows_identical(batch, row, fit_fellegi_sunter(counts[row], 3, **limits))
+        assert batch.iterations[size // 2] == 0 and not batch.converged[size // 2]
+        assert (batch.iterations <= 40).all()
+        assert (batch.iterations[~batch.converged] != 40).sum() == 1  # only the degenerate row
+        if size >= 16:
+            assert len(set(batch.iterations.tolist())) > 2
+            assert batch.converged.any() and not batch.converged.all()
+
+    @pytest.mark.parametrize("n_attributes", [1, 2, 3, 4, 5])
+    def test_agrees_with_the_log_exp_kernel(self, n_attributes):
+        counts = linkage_counts(np.random.default_rng(n_attributes), 24, n_attributes)
+        batch = fit_fellegi_sunter_many(counts, n_attributes)
+        for row in range(len(counts)):
+            m, u, match_proportion, weights, iterations = reference_em(
+                counts[row], n_attributes)
+            assert batch.iterations[row] == iterations
+            assert np.abs(batch.m[row] - m).max() <= 1e-12
+            assert np.abs(batch.u[row] - u).max() <= 1e-12
+            assert abs(batch.match_proportion[row] - match_proportion) <= 1e-12
+            assert np.abs(batch.pattern_weights[row] - weights).max() <= 1e-12
+
+    def test_np_log_is_position_independent(self):
+        """The kernel's premise: ``np.log`` gives a value the same bits in any slot."""
+        values = np.random.default_rng(5).uniform(1e-9, 1e7, 4099)
+        whole = np.log(values)
+        assert np.array_equal(np.log(values.tolist()), whole)
+        for start, stop in [(0, 1), (3, 4), (1, 9), (7, 30), (4090, 4099)]:
+            assert np.array_equal(np.log(values[start:stop]), whole[start:stop])
+        assert np.array_equal(np.log(values[::7]), whole[::7])
+        assert all(np.log(x) == y for x, y in zip(values[:64].tolist(), whole[:64]))
 
     def test_shape_validation(self):
-        from repro.exceptions import LinkageError
-
         with pytest.raises(LinkageError):
             fit_fellegi_sunter_many(np.ones((2, 7)), 3)
         with pytest.raises(LinkageError):
             fit_fellegi_sunter_many(np.zeros((2, 8)), 3)
+        with pytest.raises(LinkageError):
+            fit_fellegi_sunter_many(np.ones((2, 1)), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("size", [1, _ROW_PATH_MAX_BATCH + 1])
+    def test_non_finite_or_negative_counts_rejected(self, bad, size):
+        counts = np.full((size, 8), 100.0)
+        counts[size - 1, 3] = bad
+        with pytest.raises(LinkageError, match="finite and non-negative"):
+            fit_fellegi_sunter_many(counts, 3)
+        with pytest.raises(LinkageError, match="finite and non-negative"):
+            fit_fellegi_sunter(counts[size - 1], 3)
+
+    def test_telemetry_counts_iterations_and_nonconvergence(self):
+        counts = linkage_counts(np.random.default_rng(7), 12, 3)
+        registry = obs.enable()
+        registry.reset()
+        try:
+            batch = fit_fellegi_sunter_many(counts, 3, max_iterations=30)
+            snapshot = registry.snapshot()
+        finally:
+            obs.disable()
+            registry.reset()
+        histogram = next(h for h in snapshot["histograms"]
+                         if h["name"] == "repro_em_iterations")
+        assert histogram["bounds"] == list(map(float, EM_ITERATION_BUCKETS))
+        assert histogram["count"] == 12
+        assert histogram["sum"] == batch.iterations.sum()
+        counter = next(c for c in snapshot["counters"]
+                       if c["name"] == "repro_em_nonconverged_total")
+        assert counter["value"] == (~batch.converged).sum() > 0
 
 
 class TestEvaluatorBatch:

@@ -176,6 +176,14 @@ class TestEvaluatorIntegration:
         d = ProtectionEvaluator(small_adult, ATTRS[:2])
         assert a.config_fingerprint() != d.config_fingerprint()
 
+    def test_config_fingerprint_tracks_kernel_version(self, small_adult, monkeypatch):
+        import repro.metrics.evaluation as evaluation
+
+        assert evaluation.METRIC_KERNEL_VERSION == 3
+        current = ProtectionEvaluator(small_adult, ATTRS).config_fingerprint()
+        monkeypatch.setattr(evaluation, "METRIC_KERNEL_VERSION", 2)
+        assert ProtectionEvaluator(small_adult, ATTRS).config_fingerprint() != current
+
     def test_cache_key_tracks_candidate_content(self, small_adult, masked):
         evaluator = ProtectionEvaluator(small_adult, ATTRS)
         assert evaluator.cache_key(masked) != evaluator.cache_key(small_adult)
