@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint clean bench bench-islands stress
+.PHONY: test lint clean bench bench-islands stress perfbench
 
 # Sweep compiled bytecode before the suite: a stale __pycache__ can
 # shadow a deleted or renamed module (an orphaned cli.cpython-*.pyc
@@ -38,3 +38,12 @@ bench-islands:
 
 stress:
 	$(PYTHON) -m pytest -q -m stress
+
+# One workload of the repository benchmark (BENCHMARK.json); TRACE=1
+# prints the per-layer metrics of a traced pass.
+WORKLOAD ?= job_drain
+SEED ?= 1
+TRACE ?= 0
+
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)

@@ -75,6 +75,7 @@ from repro.obs import emit_event, get_registry, timeline_from_history, trace
 from repro.service.cache import EvaluationCache
 from repro.service.checkpoint import (
     FORMAT_VERSION,
+    CodesMemo,
     _individual_from_dict,
     _individual_to_dict,
     checkpoint_from_dict,
@@ -383,8 +384,9 @@ def read_round_migrants(
     entry = (payload.get("rounds") or {}).get(str(int(round_index)))
     if not isinstance(entry, dict):
         return None
+    source = f"migrant blob {migrants_blob_id(sender_job_id)}"
     return [
-        _individual_from_dict(item, reference)
+        _individual_from_dict(item, reference, source)
         for item in entry.get("migrants", [])
     ]
 
@@ -472,11 +474,15 @@ def _failed_senders(store, sender_ids: list[str]) -> list[str]:
 
 
 def _persist_island_checkpoint(
-    store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict
+    store, job: ProtectionJob, checkpoint: EngineCheckpoint, state: dict,
+    memo: CodesMemo,
 ) -> None:
-    payload = checkpoint_to_dict(checkpoint, fingerprint=job.fingerprint())
-    payload["island_state"] = _state_payload(state)
-    store.put_checkpoint(job.job_id, payload)
+    # The store serialises the payload, so the span has no ``bytes``.
+    with trace.span("repro.checkpoint.save") as span:
+        payload = checkpoint_to_dict(checkpoint, job.fingerprint(), memo)
+        payload["island_state"] = _state_payload(state)
+        store.put_checkpoint(job.job_id, payload)
+        span.set(encoded=memo.encoded, reused=memo.reused)
 
 
 def _degrade(job: ProtectionJob, state: dict, reason: str,
@@ -563,6 +569,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
     state = _fresh_state()
     grace = _grace_seconds()
     timeout = _wait_timeout()
+    memo = CodesMemo()
 
     def exchange(population, generation, capture) -> None:
         # The engine fires on every migrate_every boundary; the final
@@ -575,7 +582,7 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
             members = list(population)
             publish_migrants(store, job, round_index, generation, members)
             if state["degraded"]:
-                _persist_island_checkpoint(store, job, capture(), state)
+                _persist_island_checkpoint(store, job, capture(), state, memo)
                 return
             wait_started = time.monotonic()
             while True:
@@ -590,12 +597,12 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                 failed = _failed_senders(store, missing)
                 if failed:
                     _degrade(job, state, "sender-failed", failed, round_index)
-                    _persist_island_checkpoint(store, job, capture(), state)
+                    _persist_island_checkpoint(store, job, capture(), state, memo)
                     return
                 wait_since = float(state.get("wait_since") or 0.0)
                 if wait_since and time.time() - wait_since > timeout:
                     _degrade(job, state, "timeout", missing, round_index)
-                    _persist_island_checkpoint(store, job, capture(), state)
+                    _persist_island_checkpoint(store, job, capture(), state, memo)
                     return
                 if not wait_since:
                     state["wait_since"] = time.time()
@@ -603,14 +610,14 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                 # Pre-injection checkpoint: resume re-runs this very
                 # exchange against the same stamped buffers, so the
                 # parked path replays the live path bit for bit.
-                _persist_island_checkpoint(store, job, capture(), state)
+                _persist_island_checkpoint(store, job, capture(), state, memo)
                 raise _ParkSignal(round_index, generation, tuple(missing))
             wait_since = float(state.get("wait_since") or 0.0)
             waited = (time.time() - wait_since) if wait_since else (
                 time.monotonic() - wait_started)
             _complete_exchange(job, state, round_index, received,
                                list(population), population.replace, waited)
-            _persist_island_checkpoint(store, job, capture(), state)
+            _persist_island_checkpoint(store, job, capture(), state, memo)
 
     start = time.perf_counter()
     try:
@@ -624,13 +631,14 @@ def _execute_member_job(job: ProtectionJob, payload: dict) -> JobResult:
                         island=job.island_index, resume=resumable or None):
             if resumable:
                 checkpoint = checkpoint_from_dict(
-                    blob, original, expected_fingerprint=fingerprint)
+                    blob, original, expected_fingerprint=fingerprint,
+                    source=f"checkpoint blob {job.job_id}")
                 state.update(_state_payload(blob.get("island_state") or {}))
                 pending = int(state.get("pending_round") or 0)
                 if pending and not state["degraded"]:
                     checkpoint = _settle_pending_round(
                         store, job, state, checkpoint, senders, group,
-                        original, grace, timeout)
+                        original, grace, timeout, memo)
                 outcome = engine.resume(
                     checkpoint,
                     stopping=job.generations,
@@ -709,6 +717,7 @@ def _settle_pending_round(
     original,
     grace: float,
     timeout: float,
+    memo: CodesMemo,
 ) -> EngineCheckpoint:
     """Finish the exchange a previous claim parked on, pre-resume.
 
@@ -734,16 +743,16 @@ def _settle_pending_round(
         failed = _failed_senders(store, missing)
         if failed:
             _degrade(job, state, "sender-failed", failed, round_index)
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            _persist_island_checkpoint(store, job, checkpoint, state, memo)
             return checkpoint
         wait_since = float(state.get("wait_since") or 0.0)
         if wait_since and time.time() - wait_since > timeout:
             _degrade(job, state, "timeout", missing, round_index)
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            _persist_island_checkpoint(store, job, checkpoint, state, memo)
             return checkpoint
         if not wait_since:
             state["wait_since"] = time.time()
-            _persist_island_checkpoint(store, job, checkpoint, state)
+            _persist_island_checkpoint(store, job, checkpoint, state, memo)
         raise _ParkSignal(round_index, generation, tuple(missing))
     individuals = list(checkpoint.individuals)
     wait_since = float(state.get("wait_since") or 0.0)
@@ -762,7 +771,7 @@ def _settle_pending_round(
         records=checkpoint.records,
         rng_state=checkpoint.rng_state,
     )
-    _persist_island_checkpoint(store, job, settled, state)
+    _persist_island_checkpoint(store, job, settled, state, memo)
     return settled
 
 

@@ -55,7 +55,7 @@ from repro.service.store import (
     RUNNING,
     STATUSES,
     JobRecord,
-    _atomic_write_json,
+    _atomic_write_text,
     default_state_dir,
 )
 
@@ -87,6 +87,13 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 """
+
+
+def _is_json_object(text: str) -> bool:
+    try:
+        return isinstance(json.loads(text), dict)
+    except json.JSONDecodeError:
+        return False
 
 
 def default_db_path() -> Path:
@@ -561,6 +568,7 @@ class SqliteJobStore:
         and mirror it to the runner-facing file."""
         if not isinstance(payload, dict):
             raise ServiceError("checkpoint payload must be a JSON object")
+        text = json.dumps(payload)
         with self._lock, self._tx():
             if owner is not None:
                 row = self._conn.execute(
@@ -574,28 +582,26 @@ class SqliteJobStore:
             self._conn.execute(
                 "INSERT OR REPLACE INTO checkpoints (job_id, payload, updated_at) "
                 "VALUES (?, ?, ?)",
-                (job_id, json.dumps(payload), time.time()),
+                (job_id, text, time.time()),
             )
         path = self.checkpoint_path(job_id)
-        _atomic_write_json(path, payload)
+        _atomic_write_text(path, text)
         self._synced_mtimes[job_id] = path.stat().st_mtime
 
     def _pull_checkpoint(self, job_id: str) -> None:
-        """Table blob -> local file, so the runner resumes fleet state."""
+        """Table blob -> local file, so the runner resumes fleet state.
+
+        The row's text is written as stored: it is parsed only to check
+        that it is a JSON object.
+        """
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM checkpoints WHERE job_id = ?", (job_id,)
             ).fetchone()
-        if row is None:
-            return
-        try:
-            payload = json.loads(row[0])
-        except json.JSONDecodeError:
-            return
-        if not isinstance(payload, dict):
+        if row is None or not _is_json_object(row[0]):
             return
         path = self.checkpoint_path(job_id)
-        _atomic_write_json(path, payload)
+        _atomic_write_text(path, row[0])
         self._synced_mtimes[job_id] = path.stat().st_mtime
 
     def _push_checkpoint_if_changed(self, job_id: str,
@@ -606,7 +612,8 @@ class SqliteJobStore:
         must not be rewritten here — an atomic-rename race could replace
         a checkpoint the runner wrote *after* this read with the older
         payload.  The owner gate refuses silently (the new owner's
-        state wins), like the remote client's upload does.
+        state wins), like the remote client's upload does.  The file's
+        text is stored as read, once it parses as a JSON object.
         """
         path = self.checkpoint_path(job_id)
         try:
@@ -616,11 +623,11 @@ class SqliteJobStore:
         if self._synced_mtimes.get(job_id) == mtime:
             return
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return  # mid-write or gone; the next beat will retry
-        if not isinstance(payload, dict):
-            return
+            text = path.read_text(encoding="utf-8")
+        except OSError:
+            return  # gone; the next beat will retry
+        if not _is_json_object(text):
+            return  # torn mid-write or not an object; the next beat retries
         with self._lock, self._tx():
             if owner is not None:
                 row = self._conn.execute(
@@ -631,7 +638,7 @@ class SqliteJobStore:
             self._conn.execute(
                 "INSERT OR REPLACE INTO checkpoints (job_id, payload, updated_at) "
                 "VALUES (?, ?, ?)",
-                (job_id, json.dumps(payload), time.time()),
+                (job_id, text, time.time()),
             )
         self._synced_mtimes[job_id] = mtime
 

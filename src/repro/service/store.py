@@ -37,8 +37,10 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from repro.exceptions import ServiceError, WorkerError
 from repro.service.job import JobResult, ProtectionJob
@@ -81,8 +83,9 @@ def default_state_dir() -> Path:
     return Path(env) if env else Path.home() / ".repro"
 
 
-def _atomic_write_json(path: Path, payload: dict, indent: int | None = None) -> None:
-    """Write JSON via a uniquely-named temp file + atomic rename.
+def _atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Run ``write(handle)`` on a uniquely-named temp file, then rename it
+    over ``path``.
 
     The temp name must be unique per writer: the network server saves
     records from concurrent handler threads, and a shared ``.tmp`` path
@@ -94,7 +97,7 @@ def _atomic_write_json(path: Path, payload: dict, indent: int | None = None) -> 
                                dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -102,6 +105,16 @@ def _atomic_write_json(path: Path, payload: dict, indent: int | None = None) -> 
         except FileNotFoundError:
             pass
         raise
+
+
+def _atomic_write_json(path: Path, payload: dict, indent: int | None = None) -> None:
+    """Atomically write ``payload`` as JSON, streamed to the file."""
+    _atomic_write(path, lambda handle: json.dump(payload, handle, indent=indent))
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    """Atomically write ``text`` as it is."""
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
 @dataclass

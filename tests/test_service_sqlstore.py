@@ -191,6 +191,35 @@ class TestCheckpointBlobsInDatabase:
         assert store.release("job-r", owner="w") is True
         assert store.get_checkpoint("job-r") == {"generation": 7}
 
+    # Non-default spacing: a store that re-serialises would change it.
+    VERBATIM = '{"generation":  3,\n "rng_state": {"state": 1.50}}'
+
+    def test_release_stores_the_file_text_verbatim(self, store):
+        store.claim("job-v", owner="w")
+        store.checkpoint_path("job-v").write_text(self.VERBATIM, encoding="utf-8")
+        assert store.release("job-v", owner="w") is True
+        with store._lock:
+            (payload,) = store._conn.execute(
+                "SELECT payload FROM checkpoints WHERE job_id = 'job-v'"
+            ).fetchone()
+        assert payload == store.checkpoint_path("job-v").read_text(encoding="utf-8")
+        assert payload == self.VERBATIM
+
+    def test_winning_a_claim_writes_the_table_text_verbatim(self, store):
+        store.claim("job-u", owner="w")
+        store.checkpoint_path("job-u").write_text(self.VERBATIM, encoding="utf-8")
+        assert store.release("job-u", owner="w") is True
+        store.checkpoint_path("job-u").unlink()  # a fresh machine
+        assert store.claim("job-u", owner="w2") is True
+        assert store.checkpoint_path("job-u").read_text(
+            encoding="utf-8") == self.VERBATIM
+
+    def test_a_non_object_file_is_not_synced(self, store):
+        store.claim("job-n", owner="w")
+        store.checkpoint_path("job-n").write_text("[1, 2]", encoding="utf-8")
+        assert store.release("job-n", owner="w") is True
+        assert store.get_checkpoint("job-n") is None
+
 
 class TestWorkerFleet:
     def test_two_workers_partition_sqlite_queue_byte_identical_to_serial(
