@@ -46,4 +46,4 @@ SEED ?= 1
 TRACE ?= 0
 
 perfbench:
-	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)

@@ -2,14 +2,17 @@
 
 Times one protect() call per method family on the Adult dataset (1000
 records, 3 protected attributes), the workload of the initial-population
-builder.
+builder, then whole paper populations: Housing (all three protected
+attributes ordinal, so microaggregation takes the median path) and Flare
+(all nominal: the mode path).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datasets import load_adult, protected_attributes
+from repro.datasets import load_adult, load_dataset, protected_attributes
+from repro.experiments import PAPER_MIXES, build_initial_population
 from repro.methods import (
     BottomCoding,
     GlobalRecoding,
@@ -43,3 +46,10 @@ METHODS = [
 def test_method_throughput(benchmark, label, method):
     masked = benchmark(method.protect, ORIGINAL, ATTRS, 7)
     ORIGINAL.require_compatible(masked)
+
+
+@pytest.mark.parametrize("name", ["housing", "flare"])
+def test_build_initial_population(benchmark, name):
+    original = load_dataset(name)
+    population = benchmark(build_initial_population, original, dataset_name=name, seed=7)
+    assert len(population) == PAPER_MIXES[name].total

@@ -43,6 +43,7 @@ from repro.methods.microaggregation import Microaggregation
 from repro.methods.pram import InvariantPram, Pram
 from repro.methods.rank_swapping import RankSwapping
 from repro.methods.top_bottom_coding import BottomCoding, TopCoding
+from repro.obs.trace import span
 from repro.utils.rng import as_generator
 
 
@@ -172,12 +173,14 @@ def build_initial_population(
     rng = as_generator(seed)
     methods = build_method_suite(attributes, mix)
     protections = []
-    for index, method in enumerate(methods):
-        protected = method.protect(
-            original,
-            attributes,
-            seed=rng,
-            name=f"{original.name}#{index:03d}:{method.describe()}",
-        )
-        protections.append(protected)
+    with span("repro.population.build", dataset=dataset_name or original.name,
+              candidates=len(methods)):
+        for index, method in enumerate(methods):
+            protected = method.protect(
+                original,
+                attributes,
+                seed=rng,
+                name=f"{original.name}#{index:03d}:{method.describe()}",
+            )
+            protections.append(protected)
     return protections

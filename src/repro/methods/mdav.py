@@ -22,6 +22,7 @@ Adapted to categorical data:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -69,9 +70,11 @@ class MdavMicroaggregation(ProtectionMethod):
     method_name = "mdav"
 
     def __init__(self, k: int = 3) -> None:
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise ProtectionError(f"MDAV needs an integer k, got {k!r}")
         if k < 2:
             raise ProtectionError(f"MDAV needs k >= 2, got {k}")
-        self.k = k
+        self.k = int(k)
 
     def describe(self) -> str:
         return f"mdav(k={self.k})"

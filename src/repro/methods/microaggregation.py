@@ -17,9 +17,22 @@ the paper's initial populations:
   attributes (a fixed projection of the multivariate space) and the same
   partition masks every protected attribute, giving stronger but lossier
   protection.
+
+Every group but the last has exactly ``k`` members, so a column is
+aggregated in one grouped pass: the first ``n_full * k`` sorted values
+reshape to an ``(n_full, k)`` matrix, and each row is sorted.  Ordinal
+medians are the middle column (the floor of the two middle codes' mean
+for even ``k``, which is ``int(np.median(group))`` for non-negative
+codes).  Nominal modes are the longest run of equal codes in each row;
+of equally long runs the first, lowest code wins, as in
+:func:`_aggregate`.  The pass holds O(n) values whatever the domain size.
+Only the last group, of ``k`` to ``2k - 1`` records, goes through
+:func:`_aggregate`.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 import numpy as np
 
@@ -28,22 +41,16 @@ from repro.exceptions import ProtectionError
 from repro.methods.base import ProtectionMethod, registry
 
 
-def _group_boundaries(n_records: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous groups of size >= k covering ``range(n_records)``.
+def _full_groups(n_records: int, k: int) -> int:
+    """How many groups of exactly ``k`` records precede the last group.
 
-    All groups have exactly ``k`` members except the last, which absorbs
-    the remainder (the standard fixed-size microaggregation heuristic:
-    a remainder smaller than ``k`` may not form its own group).
+    The records, in sort order, form contiguous groups of exactly ``k``
+    except the last, which absorbs the remainder and so holds ``k`` to
+    ``2k - 1`` records (the standard fixed-size microaggregation
+    heuristic: a remainder smaller than ``k`` may not form its own
+    group).  With fewer than ``k`` records there is only the last group.
     """
-    if n_records < k:
-        return [(0, n_records)]
-    boundaries = []
-    start = 0
-    while n_records - start >= 2 * k:
-        boundaries.append((start, start + k))
-        start += k
-    boundaries.append((start, n_records))
-    return boundaries
+    return max(n_records // k - 1, 0)
 
 
 def _aggregate(codes: np.ndarray, ordinal: bool) -> int:
@@ -52,6 +59,23 @@ def _aggregate(codes: np.ndarray, ordinal: bool) -> int:
         return int(np.median(codes))
     counts = np.bincount(codes)
     return int(np.argmax(counts))
+
+
+def _row_modes(groups: np.ndarray) -> np.ndarray:
+    """Modal code of each row of a row-sorted matrix, ties to the lowest code.
+
+    Equal codes are adjacent in a sorted row, so its mode is its longest
+    run; ``lexsort`` is stable, so of equally long runs the first (lowest
+    code) ranks first.
+    """
+    new_run = np.ones(groups.shape, dtype=bool)
+    new_run[:, 1:] = groups[:, 1:] != groups[:, :-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.r_[starts, groups.size])
+    run_rows = starts // groups.shape[1]
+    ranked = np.lexsort((-lengths, run_rows))
+    firsts = ranked[np.r_[True, run_rows[ranked[1:]] != run_rows[ranked[:-1]]]]
+    return groups.ravel()[starts[firsts]]
 
 
 class Microaggregation(ProtectionMethod):
@@ -71,11 +95,13 @@ class Microaggregation(ProtectionMethod):
     method_name = "microaggregation"
 
     def __init__(self, k: int = 3, strategy: str = "univariate", sort_attributes: tuple[str, ...] | None = None) -> None:
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise ProtectionError(f"microaggregation needs an integer k, got {k!r}")
         if k < 2:
             raise ProtectionError(f"microaggregation needs k >= 2, got {k}")
         if strategy not in ("univariate", "joint"):
             raise ProtectionError(f"unknown strategy {strategy!r}")
-        self.k = k
+        self.k = int(k)
         self.strategy = strategy
         self.sort_attributes = sort_attributes
         self._joint_order_cache: tuple[bytes, np.ndarray] | None = None
@@ -114,9 +140,19 @@ class Microaggregation(ProtectionMethod):
         values = dataset.column(column)
         masked = values.copy()
         sorted_values = values[order]
-        for start, stop in _group_boundaries(dataset.n_records, self.k):
-            aggregate = _aggregate(sorted_values[start:stop], domain.ordinal)
-            masked[order[start:stop]] = aggregate
+        k = self.k
+        n_full = _full_groups(dataset.n_records, k)
+        split = n_full * k
+        if n_full:
+            groups = np.sort(sorted_values[:split].reshape(n_full, k), axis=1)
+            if not domain.ordinal:
+                aggregates = _row_modes(groups)
+            elif k % 2:
+                aggregates = groups[:, k // 2]
+            else:
+                aggregates = (groups[:, k // 2 - 1] + groups[:, k // 2]) // 2
+            masked[order[:split]] = np.repeat(aggregates, k)
+        masked[order[split:]] = _aggregate(sorted_values[split:], domain.ordinal)
         return masked
 
 

@@ -11,9 +11,22 @@ For nominal attributes the rank order is category-code order with random
 tie-breaking; for ordinal attributes it is value order (also with random
 tie-breaking inside equal values), matching how categorical rank swapping
 is applied in the SDC literature (paper references [14] and [17]).
+
+The swap walk visits ranks in order; an unpaired rank ``i`` draws its
+partner uniformly among the still-unpaired ranks in ``(i, i + window]``.
+Rather than scanning the window, the walk keeps a sorted list of the
+ranks ahead of ``i`` already taken as partners: one ``bisect`` counts the
+free ranks in the window, and a short bisect fixed point finds the
+``r``-th of them.  The draws are unchanged — one ``permutation(n)`` for
+the tie-break, then one ``integers(n_free)`` per unpaired rank with free
+ranks ahead, in rank order — so every seed gives the same codes and
+leaves the generator in the same state as the plain window scan.  The
+pairs are applied with a single fancy index at the end.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right, insort
 
 import numpy as np
 
@@ -53,23 +66,31 @@ class RankSwapping(ProtectionMethod):
         tiebreak = rng.permutation(n)
         order = np.lexsort((tiebreak, values))
 
-        swapped_sorted = values[order].copy()
-        taken = np.zeros(n, dtype=bool)
+        # Sorted: the ranks not yet visited that earlier ranks took as partners.
+        ahead: list[int] = []
+        partner = list(range(n))
         for i in range(n):
-            if taken[i]:
+            if ahead and ahead[0] == i:
+                del ahead[0]
                 continue
             high = min(n - 1, i + window)
-            candidates = [j for j in range(i + 1, high + 1) if not taken[j]]
-            if not candidates:
-                taken[i] = True
+            n_free = high - i - bisect_right(ahead, high)
+            if not n_free:
                 continue
-            j = candidates[int(rng.integers(len(candidates)))]
-            swapped_sorted[i], swapped_sorted[j] = swapped_sorted[j], swapped_sorted[i]
-            taken[i] = True
-            taken[j] = True
+            # The r-th free rank after i is the least j with
+            # j == i + 1 + r + (taken ranks <= j).
+            offset = i + 1 + int(rng.integers(n_free))
+            j = offset
+            skipped = bisect_right(ahead, j)
+            while offset + skipped != j:
+                j = offset + skipped
+                skipped = bisect_right(ahead, j, skipped)
+            insort(ahead, j)
+            partner[i] = j
+            partner[j] = i
 
         masked = np.empty(n, dtype=np.int64)
-        masked[order] = swapped_sorted
+        masked[order] = values[order[partner]]
         return masked
 
 

@@ -43,6 +43,11 @@ class TestMdav:
         with pytest.raises(ProtectionError):
             MdavMicroaggregation(k=1)
 
+    @pytest.mark.parametrize("k", [3.0, 2.5, True, "3"])
+    def test_non_integer_k_rejected_at_construction(self, k):
+        with pytest.raises(ProtectionError, match="integer k"):
+            MdavMicroaggregation(k=k)
+
     def test_joint_k_anonymity_over_protected_tuple(self, adult):
         from repro.metrics import k_anonymity_level
 

@@ -7,25 +7,29 @@ import pytest
 
 from repro.exceptions import ProtectionError
 from repro.methods import Microaggregation
-from repro.methods.microaggregation import _aggregate, _group_boundaries
+from repro.methods.microaggregation import _aggregate, _full_groups
 
 
 class TestGroupBoundaries:
     def test_exact_multiple(self):
-        assert _group_boundaries(9, 3) == [(0, 3), (3, 6), (6, 9)]
+        # [0, 3) [3, 6), then the last group [6, 9).
+        assert _full_groups(9, 3) == 2
 
     def test_remainder_absorbed_by_last_group(self):
-        boundaries = _group_boundaries(10, 3)
-        assert boundaries == [(0, 3), (3, 6), (6, 10)]
-        assert all(stop - start >= 3 for start, stop in boundaries)
+        # [0, 3) [3, 6), then the last group [6, 10).
+        assert _full_groups(10, 3) == 2
 
     def test_fewer_records_than_k(self):
-        assert _group_boundaries(2, 5) == [(0, 2)]
+        assert _full_groups(2, 5) == 0
 
     def test_every_record_covered_once(self):
-        boundaries = _group_boundaries(23, 4)
-        covered = [i for start, stop in boundaries for i in range(start, stop)]
-        assert covered == list(range(23))
+        for k in range(2, 10):
+            for n in range(1, 60):
+                last = n - _full_groups(n, k) * k
+                if n < k:
+                    assert last == n
+                else:
+                    assert k <= last < 2 * k
 
 
 class TestAggregate:
@@ -43,6 +47,18 @@ class TestMicroaggregation:
     def test_k_validation(self):
         with pytest.raises(ProtectionError):
             Microaggregation(k=1)
+
+    @pytest.mark.parametrize("k", [3.0, 2.5, True, "3"])
+    def test_non_integer_k_rejected_at_construction(self, k):
+        with pytest.raises(ProtectionError, match="integer k"):
+            Microaggregation(k=k)
+
+    def test_numpy_integer_k_accepted(self, adult):
+        method = Microaggregation(k=np.int64(3))
+        assert type(method.k) is int and method.describe() == "microagg(k=3,univariate)"
+        np.testing.assert_array_equal(
+            method.protect(adult, ["EDUCATION"]).codes, Microaggregation(k=3).protect(adult, ["EDUCATION"]).codes
+        )
 
     def test_strategy_validation(self):
         with pytest.raises(ProtectionError):

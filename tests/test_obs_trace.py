@@ -38,6 +38,7 @@ EXPECTED_NAMES = {
     "repro.release",
     "repro.engine.generation",
     "repro.eval.batch",
+    "repro.population.build",
 }
 
 
@@ -360,6 +361,18 @@ class TestFleetContract:
             shard = store_harness.backing.shard_for(record.job_id)
             assert shard.get_checkpoint(trace.trace_blob_id(record.job_id))
             assert claim["attrs"]["shard"] in ("a", "b")
+
+    def test_population_build_nests_under_run(self, tmp_path):
+        trace.enable_tracing(sample_rate=1.0)
+        store = JobStore(tmp_path)
+        record, _ = _submit_traced(store, _job(seed=4))
+        (outcome,) = Worker(store, stale_after=60.0).run_once()
+        assert outcome.ok
+        spans = trace.load_trace(store, record.job_id)["spans"]
+        (run,) = [s for s in spans if s["name"] == "repro.run"]
+        (build,) = [s for s in spans if s["name"] == "repro.population.build"]
+        assert build["parent_id"] == run["span_id"]
+        assert build["attrs"] == {"dataset": "flare", "candidates": 104}
 
     def test_untraced_job_leaves_no_blob(self, store_harness):
         store = store_harness.store

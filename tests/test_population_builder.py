@@ -7,6 +7,7 @@ import pytest
 from repro.datasets import load_dataset, protected_attributes
 from repro.exceptions import ExperimentError
 from repro.experiments import PAPER_MIXES, PopulationMix, build_initial_population, build_method_suite
+from repro.obs import trace
 
 
 class TestPaperMixes:
@@ -99,3 +100,31 @@ class TestBuildPopulation:
         protections = build_initial_population(adult, dataset_name="adult", seed=0)
         names = [p.name for p in protections]
         assert len(set(names)) == len(names)
+
+
+class TestBuildSpan:
+    @pytest.fixture(autouse=True)
+    def quiet_tracer(self):
+        trace.disable_tracing()
+        yield
+        trace.disable_tracing()
+
+    def test_span_counts_candidates_and_changes_no_byte(self, adult):
+        trace.enable_tracing()
+        with trace.activated(trace.new_trace_id()) as scope:
+            traced = build_initial_population(adult, dataset_name="adult", seed=3)
+        trace.disable_tracing()
+        plain = build_initial_population(adult, dataset_name="adult", seed=3)
+        assert [p.name for p in traced] == [p.name for p in plain]
+        assert all(t.codes.tobytes() == p.codes.tobytes() for t, p in zip(traced, plain))
+        spans = [s for s in scope.collected if s["name"] == "repro.population.build"]
+        assert len(spans) == 1
+        assert spans[0]["attrs"] == {"dataset": "adult", "candidates": PAPER_MIXES["adult"].total}
+
+    def test_explicit_attributes_name_the_original(self, adult):
+        mix = PopulationMix(2, 1, 1, 1, 1, 1)
+        trace.enable_tracing()
+        with trace.activated(trace.new_trace_id()) as scope:
+            build_initial_population(adult, attributes=["EDUCATION"], mix=mix, seed=0)
+        (span,) = [s for s in scope.collected if s["name"] == "repro.population.build"]
+        assert span["attrs"] == {"dataset": adult.name, "candidates": mix.total}

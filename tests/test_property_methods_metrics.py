@@ -5,6 +5,8 @@ Invariants pinned here:
 * every method returns in-domain codes and never touches unlisted
   attributes (the library's core safety contract);
 * rank swapping preserves marginals exactly, for any parameters;
+* the grouped microaggregation pass and the bisect rank swap return the
+  codes of the reference loops and leave the generator where they do;
 * PRAM transition matrices are stochastic for any frequency vector;
 * IL measures are 0 on identity and bounded in [0, 100] for arbitrary
   maskings; interval disclosure is 100 on identity;
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from method_reference import ReferenceMicroaggregation, ReferenceRankSwapping, assert_same_protection
 
 from repro.data import CategoricalDataset, CategoricalDomain, DatasetSchema
 from repro.linkage import distance_based_record_linkage, rank_swapping_record_linkage
@@ -88,6 +91,42 @@ class TestMethodContract:
         masked = RankSwapping(p=p).protect(dataset, attrs, seed=seed)
         for attr in attrs:
             assert np.array_equal(masked.value_counts(attr), dataset.value_counts(attr))
+
+
+@st.composite
+def kernel_datasets(draw):
+    """1-60 records over 1-3 attributes with domains of 1-6 categories."""
+    n_attributes = draw(st.integers(min_value=1, max_value=3))
+    sizes = [draw(st.integers(min_value=1, max_value=6)) for __ in range(n_attributes)]
+    schema = DatasetSchema([
+        CategoricalDomain(f"A{i}", [f"c{j}" for j in range(size)], ordinal=draw(st.booleans()))
+        for i, size in enumerate(sizes)
+    ])
+    n_records = draw(st.integers(min_value=1, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    codes = np.column_stack([rng.integers(0, size, size=n_records) for size in sizes])
+    return CategoricalDataset(codes, schema)
+
+
+class TestKernelsMatchReference:
+    @given(kernel_datasets(), st.integers(min_value=2, max_value=9),
+           st.booleans(), st.randoms(use_true_random=False), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=120, deadline=None)
+    def test_microaggregation(self, dataset, k, joint, shuffler, seed):
+        params: dict = {"k": k}
+        if joint:
+            sort_attributes = list(dataset.attribute_names)
+            shuffler.shuffle(sort_attributes)
+            params.update(strategy="joint", sort_attributes=tuple(sort_attributes))
+        assert_same_protection(Microaggregation(**params), ReferenceMicroaggregation(**params),
+                               dataset, dataset.attribute_names, seed)
+
+    @given(kernel_datasets(), st.floats(min_value=1, max_value=100),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=120, deadline=None)
+    def test_rank_swapping(self, dataset, p, seed):
+        assert_same_protection(RankSwapping(p=p), ReferenceRankSwapping(p=p),
+                               dataset, dataset.attribute_names, seed)
 
 
 class TestPramMatrices:
