@@ -26,7 +26,7 @@ import time
 
 from conftest import emit, record_result
 
-from repro.service import JobStore, ProtectionJob, ShardedJobStore, SqliteJobStore
+from repro.service import JobStore, ProtectionJob, SqliteJobStore
 
 #: Override with REPRO_BENCH_STORE_JOBS (CI smoke runs use a toy size).
 N_JOBS = int(os.environ.get("REPRO_BENCH_STORE_JOBS", "1000"))
@@ -106,57 +106,3 @@ def test_bench_store_sqlite_beats_file_scan(tmp_path):
         f"the file store's full scans ({file_hot:.3f}s)"
     )
 
-
-def _drain(store, n: int, *, steal: bool) -> float:
-    """Seconds to claim the whole queue in batches of ``BATCH``."""
-    claim = store.steal_batch if steal else store.claim_batch
-    start = time.perf_counter()
-    claimed = 0
-    while True:
-        won = claim(owner="bench-worker", limit=BATCH)
-        if not won:
-            break
-        claimed += len(won)
-    elapsed = time.perf_counter() - start
-    assert claimed == n
-    return elapsed
-
-
-def test_bench_sharded_claim_drain_beats_single_file_store(tmp_path):
-    """The sharding smoke leg: a 2-shard sqlite fleet drained through the
-    worker fast path (``steal_batch``: one-transaction home drains, then
-    backlog steals) must beat a single file store's batch claims over
-    the same jobs — sharding may not cost the hot path what it buys in
-    capacity."""
-    jobs = _jobs()
-
-    file_store = JobStore(tmp_path / "file-store")
-    for job in jobs:
-        file_store.submit(job)
-    file_drain = _drain(file_store, len(jobs), steal=False)
-
-    sharded = ShardedJobStore(
-        [SqliteJobStore(tmp_path / "shard-a.sqlite"),
-         SqliteJobStore(tmp_path / "shard-b.sqlite")],
-        names=["a", "b"],
-        root=tmp_path / "spool",
-    )
-    for job in jobs:
-        sharded.submit(job)
-    shard_drain = _drain(sharded, len(jobs), steal=True)
-
-    ratio = file_drain / shard_drain if shard_drain else float("inf")
-    record_result("store-sharded", "file-claim-drain", file_drain)
-    record_result("store-sharded", "shard-steal-drain", shard_drain,
-                  ratio=min(ratio, 1e9))
-    emit(
-        f"sharded claim+drain — {len(jobs)} jobs, batches of {BATCH}, "
-        "2 sqlite shards vs one file store",
-        f"{'file claim_batch':<22} {file_drain:>9.3f}s\n"
-        f"{'2-shard steal_batch':<22} {shard_drain:>9.3f}s\n"
-        f"{'speedup':<22} {ratio:>9.1f}x",
-    )
-    assert shard_drain < file_drain, (
-        f"2-shard steal_batch drain ({shard_drain:.3f}s) should beat the "
-        f"single file store's claim_batch drain ({file_drain:.3f}s)"
-    )

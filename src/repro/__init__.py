@@ -154,7 +154,6 @@ __all__ = [
     "JobStore",
     "SqliteJobStore",
     "RemoteJobStore",
-    "ShardedJobStore",
     "JobStoreServer",
     "Worker",
     "store_from_spec",
@@ -169,7 +168,6 @@ _SERVICE_NAMES = {
     "JobStore",
     "SqliteJobStore",
     "RemoteJobStore",
-    "ShardedJobStore",
     "JobStoreServer",
     "Worker",
     "store_from_spec",

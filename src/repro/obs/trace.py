@@ -408,20 +408,6 @@ def record_span(
     scope.record(make_span(scope.trace_id, parent_id, name, start, duration, **attrs))
 
 
-def annotate_span(**attrs: object) -> None:
-    """Attach attributes to the innermost open span, if any.
-
-    Lets a lower layer (the sharded store choosing a shard) enrich a
-    span opened by a caller that cannot know the value.
-    """
-    if not _state.enabled:
-        return
-    scope = getattr(_context, "scope", None)
-    if scope is None or not scope.stack:
-        return
-    scope.stack[-1].set(**attrs)
-
-
 # -- network propagation ----------------------------------------------------
 
 _TRACEPARENT_RE = re.compile(r"00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}")

@@ -15,10 +15,8 @@ serve``) and :class:`RemoteJobStore` is the client with the identical
 :data:`STORE_PROTOCOL` surface (``--store-url``), extending the same
 claim/heartbeat contract across machines.  :class:`SqliteJobStore`
 keeps the whole store in one transactional SQLite database for heavy
-fleets; :class:`ShardedJobStore` composes N child stores behind the
-same contract (rendezvous placement + fleet work-stealing);
-:func:`store_from_spec` opens any backend from its spec string
-(``file:DIR`` / ``sqlite:PATH`` / ``http://...`` / ``shard:...``) and
+fleets; :func:`store_from_spec` opens any backend from its spec string
+(``file:DIR`` / ``sqlite:PATH`` / ``http://...``) and
 :func:`migrate_store` moves state between them.
 :func:`plan_island_jobs` splits one seeded search into an island-model
 group — member jobs exchanging elite migrants through the store on a
@@ -42,7 +40,6 @@ from repro.service.checkpoint import (
     checkpoint_to_dict,
 )
 from repro.service.islands import (
-    MIGRANTS_BLOB_SUFFIX,
     TOPOLOGIES,
     IslandParked,
     drive_group,
@@ -50,19 +47,19 @@ from repro.service.islands import (
     island_group_id,
     island_topology,
     member_job_ids,
-    migrants_blob_id,
     plan_island_jobs,
 )
 from repro.service.job import JobResult, ProtectionJob
 from repro.service.netstore import PROTOCOL_VERSION, JobStoreServer, RemoteJobStore
 from repro.service.runner import JobOutcome, JobRunner
-from repro.service.shardstore import ShardedJobStore, parse_shard_spec
 from repro.service.sqlstore import SqliteJobStore
 from repro.service.store import (
+    MIGRANTS_BLOB_SUFFIX,
     STORE_PROTOCOL,
     JobRecord,
     JobStore,
     default_state_dir,
+    migrants_blob_id,
     migrate_store,
     store_from_spec,
 )
@@ -82,8 +79,6 @@ __all__ = [
     "JobStore",
     "JobRecord",
     "SqliteJobStore",
-    "ShardedJobStore",
-    "parse_shard_spec",
     "JobStoreServer",
     "RemoteJobStore",
     "store_from_spec",

@@ -39,13 +39,13 @@ in ``repro_island_degraded_total``, announced by an ``island_degraded``
 event — rather than blocking the fleet forever.  It keeps *publishing*
 so downstream islands are unaffected.
 
-Migrant payloads ride the checkpoint-blob path as
-``<job_id>.migrants`` (:data:`MIGRANTS_BLOB_SUFFIX`), shard-co-located
-with the member's record via the suffix-stripping placement and carried
-by ``repro migrate``.  **The payload format and exchange cadence are a
-stability contract** (see ROADMAP): ``{"version", "group", "island",
-"topology", "rounds": {"<r>": {"generation", "migrants": [...]}}}``
-with individuals encoded exactly like engine checkpoints.
+Migrant payloads ride the checkpoint-blob path as ``<job_id>.migrants``
+(:func:`~repro.service.store.migrants_blob_id`), stored next to the
+member's record and carried by ``repro migrate``.  **The payload format
+and exchange cadence are a stability contract** (see ROADMAP):
+``{"version", "group", "island", "topology", "rounds": {"<r>":
+{"generation", "migrants": [...]}}}`` with individuals encoded exactly
+like engine checkpoints.
 
 Islands are pure clients of :data:`~repro.service.store.STORE_PROTOCOL`
 — no store grew a new method for them.
@@ -87,13 +87,9 @@ from repro.service.store import (
     FAILED,
     QUEUED,
     JobRecord,
+    migrants_blob_id,
     store_from_spec,
 )
-
-#: Blob-id suffix of an island's durable migrant buffer on the
-#: checkpoint path.  Like ``.trace`` blobs, the sharded store strips it
-#: for placement so the buffer lives on the shard that owns the record.
-MIGRANTS_BLOB_SUFFIX = ".migrants"
 
 #: Wire version of the migrant payload (a stability contract — bump it
 #: like a store wire-protocol change, never silently).
@@ -161,11 +157,6 @@ class IslandParked(ServiceError):
 
 
 # -- identity, topology, planning -------------------------------------------
-
-
-def migrants_blob_id(job_id: str) -> str:
-    """The checkpoint-path blob id holding ``job_id``'s migrant buffer."""
-    return f"{job_id}{MIGRANTS_BLOB_SUFFIX}"
 
 
 def island_group_id(job: ProtectionJob) -> str:
@@ -262,9 +253,9 @@ def member_job_ids(job: ProtectionJob) -> list[str]:
 
 # Island executors need the *job store* (records + checkpoint blobs),
 # which plain run payloads never carried.  In-process backends resolve
-# the exact live store object through this weak registry — critical for
-# programmatically-built stores (a test's sharded store over tmp dirs)
-# whose spec may not be independently reopenable.  Process backends and
+# the exact live store object through this weak registry, so a store
+# built in-process (say, a test's store over tmp dirs) is shared rather
+# than reopened from its spec.  Process backends and
 # any registry miss fall back to reopening from the spec.
 _LIVE_STORES: "weakref.WeakValueDictionary[str, object]" = (
     weakref.WeakValueDictionary()

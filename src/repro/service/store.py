@@ -51,6 +51,10 @@ COMPLETED = "completed"
 FAILED = "failed"
 STATUSES = (QUEUED, RUNNING, COMPLETED, FAILED)
 
+#: Blob-id suffix of an island's durable migrant buffer on the
+#: checkpoint path (``<job_id>.migrants``).
+MIGRANTS_BLOB_SUFFIX = ".migrants"
+
 #: The job-store contract: every store implementation (file-backed or
 #: networked) exposes exactly these operations, and the conformance
 #: suite asserts their shared semantics against each implementation.
@@ -719,6 +723,11 @@ class JobStore:
         return f"JobStore({str(self.root)!r})"
 
 
+def migrants_blob_id(job_id: str) -> str:
+    """The checkpoint-path blob id holding ``job_id``'s migrant buffer."""
+    return f"{job_id}{MIGRANTS_BLOB_SUFFIX}"
+
+
 def store_from_spec(spec: str = "", *, token: str = "",
                     state_dir: str | Path | None = None):
     """Open a job store from its selection spec — the one factory the
@@ -736,10 +745,6 @@ def store_from_spec(spec: str = "", *, token: str = "",
       :class:`~repro.service.netstore.RemoteJobStore` client of a
       ``repro serve`` endpoint, authenticated with ``token`` and
       spooling under ``state_dir``;
-    - ``shard:CHILD[,CHILD...]`` or ``shard:@MANIFEST.json`` — a
-      :class:`~repro.service.shardstore.ShardedJobStore` composing the
-      child specs (any mix of the grammars above; ``token`` is shared
-      by HTTP children, ``state_dir`` is the local checkpoint spool).
 
     Local paths are ``~``-expanded here: a spec like ``file:~/.repro``
     reaches this factory verbatim (shells do not tilde-expand after the
@@ -766,11 +771,6 @@ def store_from_spec(spec: str = "", *, token: str = "",
 
         path = spec[len("sqlite:"):]
         return SqliteJobStore(Path(path).expanduser() if path else None)
-    if spec.startswith("shard:"):
-        from repro.service.shardstore import ShardedJobStore
-
-        return ShardedJobStore.from_spec(spec[len("shard:"):], token=token,
-                                         state_dir=state_dir)
     if spec.startswith("file:"):
         spec = spec[len("file:"):]
     elif _looks_like_unknown_scheme(spec):
@@ -778,8 +778,7 @@ def store_from_spec(spec: str = "", *, token: str = "",
         raise ServiceError(
             f"unrecognized store scheme {scheme + ':'!r} in spec {spec!r} "
             "— valid specs: \"\" (default file store), file:DIR or a bare "
-            "directory path, sqlite:PATH, http(s)://HOST:PORT, and "
-            "shard:CHILD[,CHILD...] / shard:@MANIFEST.json"
+            "directory path, sqlite:PATH, and http(s)://HOST:PORT"
         )
     if not spec:
         return JobStore(state_dir) if state_dir else JobStore()
@@ -803,11 +802,10 @@ def migrate_store(source, target, *, chunk_size: int = 100) -> dict[str, int]:
 
     Works across any two :data:`STORE_PROTOCOL` stores (this is the
     ``repro migrate`` export/import pair: file directory -> sqlite
-    database and back, or shard -> shard for rebalancing).  Records
-    keep their status, timestamps and results byte-for-byte;
-    checkpoints ride along keyed by job id.  Live claims are
-    deliberately *not* carried: migrate a quiesced fleet — a record
-    mid-``running`` at snapshot time arrives with no claim and is
+    database and back).  Records keep their status, timestamps and
+    results byte-for-byte; checkpoints ride along keyed by job id.  Live
+    claims are deliberately *not* carried: migrate a quiesced fleet — a
+    record mid-``running`` at snapshot time arrives with no claim and is
     requeued by the first ``recover_stale_claims`` pass on the target,
     which is exactly the crashed-worker repair path.
 
@@ -821,13 +819,12 @@ def migrate_store(source, target, *, chunk_size: int = 100) -> dict[str, int]:
 
     Durable trace blobs (``<job_id>.trace``, see
     :mod:`repro.obs.trace`) and island migrant buffers
-    (``<job_id>.migrants``, see :mod:`repro.service.islands`) ride the
-    same checkpoint path, so a migrated job keeps its waterfall and a
-    migrated island group keeps its exchange history too.
+    (:func:`migrants_blob_id`) ride the same checkpoint path, so a
+    migrated job keeps its waterfall and a migrated island group keeps
+    its exchange history too.
     """
     from repro.obs import emit_event
     from repro.obs.trace import trace_blob_id
-    from repro.service.islands import migrants_blob_id
 
     if chunk_size < 1:
         raise ServiceError(f"chunk_size must be >= 1, got {chunk_size}")

@@ -308,21 +308,13 @@ class Worker:
 
         Without explicit candidates the store's own ``claim_batch``
         does the whole queue-walk-and-claim — one transaction on a
-        database store, one round trip on a remote one.  A sharded
-        store exposes ``steal_batch`` and gets it instead: drain this
-        worker's home shard first (its own rendezvous placement, so a
-        balanced fleet self-partitions with no contention), then steal
-        from the most-backlogged healthy shard.  With candidates (the
-        single-record :meth:`process` path) the claim loop runs here
-        over exactly those records.
+        database store, one round trip on a remote one.  With
+        candidates (the single-record :meth:`process` path) the claim
+        loop runs here over exactly those records.
         """
         claim_started = time.time()
         if candidates is None:
-            steal = getattr(self.store, "steal_batch", None)
-            if callable(steal):
-                batch = steal(owner=self.worker_id, limit=limit)
-            else:
-                batch = self.store.claim_batch(owner=self.worker_id, limit=limit)
+            batch = self.store.claim_batch(owner=self.worker_id, limit=limit)
             if batch:
                 # claim_batch reports only wins; losses stay inside the
                 # store transaction (claim_queued counts both sides).
@@ -434,18 +426,11 @@ class Worker:
         """
         claim_started, claim_seconds = self._last_claim
         release_started, release_seconds = release
-        shard_name_for = getattr(self.store, "shard_name_for", None)
         for record in records:
             info = trace.trace_context_from_extras(record.extras)
             if info is None:
                 continue
             trace_id, root = info["id"], info["root"]
-            shard = None
-            if callable(shard_name_for):
-                try:
-                    shard = shard_name_for(record.job_id)
-                except Exception:  # noqa: BLE001 - attribute only
-                    shard = None
             spans = []
             if record.submitted_at and claim_started > record.submitted_at:
                 spans.append(trace.make_span(
@@ -457,7 +442,7 @@ class Worker:
                 spans.append(trace.make_span(
                     trace_id, root, "repro.claim",
                     start=claim_started, duration=claim_seconds,
-                    worker=self.worker_id, shard=shard,
+                    worker=self.worker_id,
                 ))
             outcome = outcomes.get(record.job_id)
             if outcome is not None:
@@ -508,10 +493,10 @@ class Worker:
         boundary since the last real progress, the missing migrants
         must come from outside this worker, so spinning here cannot
         help — the drain returns and the poll loop (or a peer worker)
-        takes over.  The every-queued-job bar matters on a sharded
-        store, where claim order favours the worker's home shard: one
-        stalled home-shard island must not mask runnable peers on
-        other shards.
+        takes over.  Until then the drain claims around its stalled jobs
+        from an explicit queue walk, so it still runs every other
+        claimable job and returns once only stalled jobs and jobs held
+        by other workers remain.
         """
         self.store.recover_stale_claims(self.stale_after)
         outcomes: list[JobOutcome] = []
@@ -526,9 +511,9 @@ class Worker:
                 if limit <= 0:
                     return outcomes
             if bypass_stalled:
-                # The store's own claim order (home shard first on a
-                # sharded fleet) would hand the stalled job straight
-                # back; claim around it from the explicit queue walk.
+                # Once every job ahead of a stalled one is held by
+                # another worker, the store's oldest-first order would
+                # hand the stalled job straight back.
                 pool = [record for record in self.store.queued()
                         if record.job_id not in stalled]
                 if not pool:

@@ -29,19 +29,6 @@ class StoreHarness:
     store: object
     backing: object
 
-    def _backing_for(self, job_id: str) -> object:
-        """The concrete local store holding ``job_id``'s claim state.
-
-        For single stores that is ``backing`` itself; for a
-        ``ShardedJobStore`` it is the one child shard the job lives on
-        (claims co-live with records, so the shard answers for both).
-        """
-        from repro.service import ShardedJobStore
-
-        if isinstance(self.backing, ShardedJobStore):
-            return self.backing.shard_for(job_id)
-        return self.backing
-
     @staticmethod
     def _is_file_store(store: object) -> bool:
         return isinstance(store, JobStore)
@@ -49,7 +36,7 @@ class StoreHarness:
     def age_claim(self, job_id: str, seconds: float) -> None:
         """Backdate a claim as if its worker went silent ``seconds`` ago."""
         then = time.time() - seconds
-        backing = self._backing_for(job_id)
+        backing = self.backing
         if self._is_file_store(backing):
             path = backing.claim_path(job_id)
             info = json.loads(path.read_text(encoding="utf-8"))
@@ -71,7 +58,7 @@ class StoreHarness:
         claim row with a NULL owner.  Both mean "held, by whom
         unknown", and the owner-gated operations must refuse to guess.
         """
-        backing = self._backing_for(job_id)
+        backing = self.backing
         if self._is_file_store(backing):
             backing.claim_path(job_id).write_text("", encoding="utf-8")
             return
@@ -84,30 +71,12 @@ class StoreHarness:
             )
 
 
-@pytest.fixture(params=["file", "remote", "sqlite", "sqlite-remote",
-                        "shard-sqlite", "shard-mixed"])
+@pytest.fixture(params=["file", "remote", "sqlite", "sqlite-remote"])
 def store_harness(request, tmp_path) -> StoreHarness:
     """The store contract fixture: every test using it runs once per
     backend — the file-backed ``JobStore``, the ``SqliteJobStore``, a
     ``RemoteJobStore`` over a live ``JobStoreServer`` fronting each of
-    the two, and a ``ShardedJobStore`` over two shards (2x sqlite, and
-    a file+sqlite mix) — sharding must be invisible behind the
-    contract."""
-    if request.param.startswith("shard"):
-        from repro.service import ShardedJobStore, SqliteJobStore
-
-        second = (
-            JobStore(tmp_path / "shard-b")
-            if request.param == "shard-mixed"
-            else SqliteJobStore(tmp_path / "shard-b.sqlite")
-        )
-        sharded = ShardedJobStore(
-            [SqliteJobStore(tmp_path / "shard-a.sqlite"), second],
-            names=["a", "b"],
-            root=tmp_path / "spool",
-        )
-        yield StoreHarness(store=sharded, backing=sharded)
-        return
+    the two."""
     if request.param.startswith("sqlite"):
         from repro.service import SqliteJobStore
 

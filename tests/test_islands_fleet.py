@@ -91,6 +91,31 @@ def test_bit_identical_across_store_backends(store_harness, reference):
     assert _snapshot(store_harness.store, jobs) == reference
 
 
+def test_drain_returns_when_a_peer_is_held_elsewhere(tmp_path, reference):
+    # Island 1 is claimed by a worker that never runs it, so island 0
+    # and the merge job re-park at the same boundary on every claim
+    # while island 1 stays queued.  The drain must claim around them,
+    # finish the unrelated job, and return instead of spinning.
+    store = JobStore(tmp_path / "store")
+    jobs = _submit_group(store)
+    other = store.submit(ProtectionJob(dataset="flare", generations=1, seed=3))
+    assert store.claim(jobs[1].job_id, owner="elsewhere")
+    drained = []
+    thread = threading.Thread(
+        target=lambda: drained.extend(
+            Worker(store, worker_id="one-slot").run_once()),
+        daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "drain spun on a stalled island"
+    assert store.get(other.job_id).status == "completed"
+    parked = {o.job_id for o in drained if o.parked is not None}
+    assert {jobs[0].job_id, jobs[2].job_id} <= parked
+    assert store.release(jobs[1].job_id, owner="elsewhere")
+    Worker(store, worker_id="one-slot").run_once()
+    assert _snapshot(store, jobs) == reference
+
+
 def test_worker_death_mid_exchange_recovers(tmp_path, reference):
     store = JobStore(tmp_path / "store")
     jobs = _submit_group(store)

@@ -1,10 +1,12 @@
-"""Layering guard: the paper core never imports the service layer or the CLI.
+"""Layering guards: no module imports a layer that sits above it.
 
-The packages below reproduce the paper and sit beneath the job service
-(:mod:`repro.service`) and the command line (:mod:`repro.cli`).  The
-scan covers every import in every module, including imports inside
-functions and under ``TYPE_CHECKING``, so a lazy import cannot hide an
-upward dependency.
+The paper core reproduces the paper and sits beneath the job service
+(:mod:`repro.service`) and the command line (:mod:`repro.cli`).  Inside
+the service, the store layer (job stores, checkpoints, the evaluation
+cache) sits beneath the features that drive it: island groups, workers
+and the job runner.  The scan covers every import in every module,
+including imports inside functions and under ``TYPE_CHECKING``, so a
+lazy import cannot hide an upward dependency.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ CORE_PACKAGES = (
     "experiments", "utils",
 )
 FORBIDDEN = ("repro.service", "repro.cli")
+
+STORE_LAYER_MODULES = ("store", "sqlstore", "netstore", "checkpoint", "cache")
+STORE_LAYER_FORBIDDEN = (
+    "repro.service.islands", "repro.service.worker", "repro.service.runner",
+    "repro.cli",
+)
 
 
 def _module_name(path: Path) -> str:
@@ -56,22 +64,32 @@ def _imported_modules(module: str, source: str) -> list[tuple[int, str]]:
     return found
 
 
-def _is_forbidden(name: str) -> bool:
-    return any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN)
+def _is_forbidden(name: str, forbidden: tuple[str, ...] = FORBIDDEN) -> bool:
+    return any(name == bad or name.startswith(bad + ".") for bad in forbidden)
+
+
+def _violations(paths, forbidden: tuple[str, ...]) -> list[str]:
+    return [
+        f"{path.relative_to(PACKAGE_ROOT.parent)}:{line}: {name}"
+        for path in paths
+        for line, name in _imported_modules(
+            _module_name(path), path.read_text(encoding="utf-8"))
+        if _is_forbidden(name, forbidden)
+    ]
 
 
 @pytest.mark.parametrize("package", CORE_PACKAGES)
 def test_core_package_does_not_import_service_or_cli(package):
     modules = sorted((PACKAGE_ROOT / package).rglob("*.py"))
     assert modules, f"no modules under {package}: the scan would pass vacuously"
-    violations = [
-        f"{path.relative_to(PACKAGE_ROOT.parent)}:{line}: {name}"
-        for path in modules
-        for line, name in _imported_modules(
-            _module_name(path), path.read_text(encoding="utf-8"))
-        if _is_forbidden(name)
-    ]
-    assert violations == []
+    assert _violations(modules, FORBIDDEN) == []
+
+
+@pytest.mark.parametrize("module", STORE_LAYER_MODULES)
+def test_store_layer_does_not_import_its_callers(module):
+    path = PACKAGE_ROOT / "service" / f"{module}.py"
+    assert path.is_file(), f"{path} is gone: the scan would pass vacuously"
+    assert _violations([path], STORE_LAYER_FORBIDDEN) == []
 
 
 def test_scanner_sees_lazy_relative_and_type_checking_imports():

@@ -4,8 +4,8 @@ the fleet-crossing contract.
 The centerpiece is the ``store_harness``-parametrized battery asserting
 that one job run end-to-end — traced submit, worker claim, evaluation,
 release — leaves exactly one *connected* span tree in the durable trace
-blob, on every store backend (file, sqlite, remote-over-HTTP fronting
-each, and two sharded layouts).  The kill-the-worker test proves a
+blob, on every store backend (file, sqlite, and remote-over-HTTP
+fronting each).  The kill-the-worker test proves a
 resumed job links its new spans to the original trace instead of
 starting a fresh one.
 """
@@ -25,7 +25,6 @@ from repro.service import (
     JobStore,
     JobStoreServer,
     ProtectionJob,
-    ShardedJobStore,
     Worker,
 )
 
@@ -111,14 +110,6 @@ class TestSpanPrimitives:
         (span,) = scope.collected
         assert span["parent_id"] == "rootrootrootroot"
         assert span["duration"] == 1.5
-
-    def test_annotate_span_reaches_innermost_open_span(self):
-        trace.enable_tracing()
-        with trace.activated(trace.new_trace_id()) as scope:
-            with trace.span("repro.submit"):
-                trace.annotate_span(shard="b")
-        (span,) = scope.collected
-        assert span["attrs"]["shard"] == "b"
 
     def test_scope_caps_spans_and_counts_dropped(self):
         trace.enable_tracing()
@@ -355,12 +346,6 @@ class TestFleetContract:
         assert root["attrs"]["status"] == "completed"
         claim = next(s for s in payload["spans"] if s["name"] == "repro.claim")
         assert claim["attrs"]["worker"]
-        if isinstance(store_harness.backing, ShardedJobStore):
-            # The blob must co-locate with the record's shard even though
-            # rendezvous hashing of "<job>.trace" would pick another.
-            shard = store_harness.backing.shard_for(record.job_id)
-            assert shard.get_checkpoint(trace.trace_blob_id(record.job_id))
-            assert claim["attrs"]["shard"] in ("a", "b")
 
     def test_population_build_nests_under_run(self, tmp_path):
         trace.enable_tracing(sample_rate=1.0)

@@ -8,6 +8,8 @@ identical), ``repro serve --backend sqlite`` with remote clients, and
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -165,6 +167,22 @@ class TestMigrateCommand:
         returned = JobStore(tmp_path / "back")
         assert returned.get(record.job_id).status == "queued"
         assert returned.get_checkpoint(record.job_id) == {"generation": 1}
+
+    def test_migrate_database_to_database_with_progress(self, tmp_path,
+                                                       capsys):
+        source = SqliteJobStore(tmp_path / "old.sqlite")
+        for seed in range(5):
+            source.submit(ProtectionJob(dataset="flare", generations=2,
+                                        seed=seed))
+        assert main(["migrate", "--from", f"sqlite:{tmp_path / 'old.sqlite'}",
+                     "--to", _spec(tmp_path), "--chunk-size", "2",
+                     "--log-json"]) == 0
+        captured = capsys.readouterr()
+        assert "migrated 5 job record(s)" in captured.out
+        progress = [json.loads(line) for line in captured.err.splitlines()
+                    if '"migrate_progress"' in line]
+        assert [p["records"] for p in progress] == [2, 4, 5]
+        assert len(_store(tmp_path).records()) == 5
 
     def test_migrate_refuses_identical_specs(self, tmp_path, capsys):
         spec = _spec(tmp_path)

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
+from repro import obs
 from repro.exceptions import ServiceError
-from repro.service import JobRecord, JobResult, JobStore, ProtectionJob
+from repro.service import (
+    JobRecord,
+    JobResult,
+    JobStore,
+    ProtectionJob,
+    SqliteJobStore,
+    migrate_store,
+    store_from_spec,
+)
 
 
 def _job(seed: int = 1) -> ProtectionJob:
@@ -124,3 +136,73 @@ class TestJobStore:
         back = JobRecord.from_dict(record.to_dict())
         assert back.job == record.job
         assert back.extras == {"checkpoint_every": 5}
+
+
+def _jobs(n: int) -> list[ProtectionJob]:
+    return [ProtectionJob(dataset="flare", generations=2, seed=seed)
+            for seed in range(n)]
+
+
+class TestStoreFromSpec:
+    # ``shard:`` was a valid scheme until the sharded store was removed.
+    @pytest.mark.parametrize("spec", ["sqllite:jobs.db", "shard:sqlite:a.db"])
+    def test_unknown_scheme_rejected_with_grammar(self, spec, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ServiceError) as excinfo:
+            store_from_spec(spec)
+        message = str(excinfo.value)
+        assert repr(spec.split(":", 1)[0] + ":") in message
+        for grammar in ("file:DIR", "sqlite:PATH", "http(s)://"):
+            assert grammar in message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_directory_with_colon_still_opens(self, tmp_path):
+        # A user who really has a directory named like a scheme typo can
+        # still open it: existence wins over the typo heuristic.
+        weird = tmp_path / "odd:dir"
+        weird.mkdir()
+        store = store_from_spec(str(weird))
+        assert isinstance(store, JobStore)
+
+    def test_bare_paths_and_file_prefix_still_work(self, tmp_path):
+        assert isinstance(store_from_spec(str(tmp_path / "plain")), JobStore)
+        assert isinstance(store_from_spec(f"file:{tmp_path}/pref"), JobStore)
+
+    def test_empty_spec_opens_the_default_file_store(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("REPRO_HOME", str(tmp_path / "home"))
+        assert store_from_spec("").root == tmp_path / "home"
+        assert store_from_spec("", state_dir=tmp_path / "s").root == tmp_path / "s"
+
+
+class TestStreamingMigrate:
+    def test_migrate_emits_progress_chunks(self, tmp_path):
+        registry = obs.enable()
+        stream = io.StringIO()
+        obs.configure_events(stream)
+        try:
+            source = SqliteJobStore(tmp_path / "src.sqlite")
+            for job in _jobs(7):
+                source.submit(job)
+            target = JobStore(tmp_path / "dst")
+            counts = migrate_store(source, target, chunk_size=3)
+            assert counts == {"records": 7, "checkpoints": 0, "traces": 0,
+                              "migrants": 0}
+            progress = [json.loads(line) for line in
+                        stream.getvalue().splitlines()
+                        if json.loads(line)["event"] == "migrate_progress"]
+            assert [p["records"] for p in progress] == [3, 6, 7]
+            assert progress[-1].get("done") is True
+        finally:
+            obs.disable()
+            obs.configure_events(None)
+            registry.reset()
+
+    def test_iter_records_streams_everything(self, tmp_path):
+        for store in (SqliteJobStore(tmp_path / "db.sqlite"),
+                      JobStore(tmp_path / "dir")):
+            for job in _jobs(5):
+                store.submit(job)
+            streamed = sorted(r.job_id for r in store.iter_records())
+            assert streamed == sorted(r.job_id for r in store.records())
