@@ -71,33 +71,66 @@ class StoreHarness:
             )
 
 
-@pytest.fixture(params=["file", "remote", "sqlite", "sqlite-remote"])
+class TwinHandles:
+    """Two handles over one backing, taking store calls in turn.
+
+    Every method lookup goes to the other handle than the last one, so
+    a write through one handle is read back through a second — as when
+    several worker processes each open their own store on one state
+    directory, database or server.  A handle that served a read from
+    state cached in the process, not the backing, fails the contract.
+    """
+
+    def __init__(self, first: object, second: object) -> None:
+        self._handles = (first, second)
+        self._turn = 0
+
+    def __getattr__(self, name: str):
+        handle = self._handles[self._turn]
+        self._turn ^= 1
+        return getattr(handle, name)
+
+
+@pytest.fixture(params=["file", "remote", "sqlite", "sqlite-remote",
+                        "file-twin", "sqlite-twin", "remote-twin"])
 def store_harness(request, tmp_path) -> StoreHarness:
     """The store contract fixture: every test using it runs once per
     backend — the file-backed ``JobStore``, the ``SqliteJobStore``, a
     ``RemoteJobStore`` over a live ``JobStoreServer`` fronting each of
-    the two."""
+    the two, and :class:`TwinHandles` over two file stores, two sqlite
+    stores and two remote clients of one server."""
     if request.param.startswith("sqlite"):
         from repro.service import SqliteJobStore
 
-        backing = SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
+        def open_local():
+            return SqliteJobStore(tmp_path / "state" / "jobs.sqlite")
     else:
-        backing = JobStore(tmp_path / "state")
+        def open_local():
+            return JobStore(tmp_path / "state")
+    backing = open_local()
     if request.param in ("file", "sqlite"):
         yield StoreHarness(store=backing, backing=backing)
+        return
+    if request.param in ("file-twin", "sqlite-twin"):
+        yield StoreHarness(store=TwinHandles(backing, open_local()), backing=backing)
         return
     from repro.service import JobStoreServer, RemoteJobStore
 
     server = JobStoreServer(backing, token="contract-token")
     server.start()
     try:
-        client = RemoteJobStore(
-            server.url,
-            token="contract-token",
-            spool=tmp_path / "spool",
-            retries=1,
-            backoff=0.05,
-        )
+        def open_client(spool: str):
+            return RemoteJobStore(
+                server.url,
+                token="contract-token",
+                spool=tmp_path / spool,
+                retries=1,
+                backoff=0.05,
+            )
+
+        client = open_client("spool")
+        if request.param == "remote-twin":
+            client = TwinHandles(client, open_client("spool-b"))
         yield StoreHarness(store=client, backing=backing)
     finally:
         server.stop()
