@@ -1,22 +1,28 @@
 """M1 — measure micro-benchmarks.
 
 Fitness evaluation is the paper's acknowledged bottleneck; these benches
-time every IL and DR measure individually, plus the full evaluator, and
-the compressed-vs-reference linkage speedup that makes the reproduction
-laptop-fast.
+time every IL and DR measure individually, plus the full evaluator, the
+compressed-vs-reference linkage speedup that makes the reproduction
+laptop-fast, and the warm-index legs: one initial population's linkage
+on an :class:`~repro.linkage.compressed.OriginalIndex` whose tuple
+columns are already stored, so every grid is a gather (the cold legs
+above build a fresh index per pair and broadcast every column).
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
-from repro.datasets import load_adult, protected_attributes
+from repro.datasets import load_adult, load_dataset, protected_attributes
+from repro.experiments.population_builder import build_initial_population
 from repro.linkage import (
     distance_based_record_linkage,
     probabilistic_record_linkage,
     rank_swapping_record_linkage,
 )
-from repro.linkage.compressed import CompressedPair
+from repro.linkage.compressed import CompressedPair, OriginalIndex
 from repro.methods import Pram
 from repro.metrics import (
     ContingencyTableLoss,
@@ -92,3 +98,37 @@ def test_prl_reference_vs_compressed(benchmark, path, fn):
 def test_rsrl_reference_vs_compressed(benchmark, path, fn):
     value = benchmark(fn)
     assert 0.0 <= value <= 100.0
+
+
+@cache
+def _warm_population(name: str):
+    original = load_dataset(name)
+    attributes = protected_attributes(name)
+    population = build_initial_population(original, dataset_name=name, seed=7)
+    index = OriginalIndex(original, attributes)
+    pairs = [CompressedPair(original, masked, attributes, index=index) for masked in population]
+    for pair in pairs:  # store every column the population touches
+        pair.distance_linkage()
+        pair.pattern_counts()
+        pair.rank_linkage()
+    return original, attributes, population, index
+
+
+@pytest.mark.parametrize("dataset", ["housing", "adult"])
+@pytest.mark.parametrize("attack", ["dbrl", "prl", "rsrl"])
+def test_warm_index_population_linkage(benchmark, dataset, attack):
+    original, attributes, population, index = _warm_population(dataset)
+    run = {
+        "dbrl": CompressedPair.distance_linkage,
+        "prl": CompressedPair.probabilistic_linkage,
+        "rsrl": CompressedPair.rank_linkage,
+    }[attack]
+
+    def score_population():
+        return [
+            run(CompressedPair(original, masked, attributes, index=index))
+            for masked in population
+        ]
+
+    values = benchmark(score_population)
+    assert all(0.0 <= value <= 100.0 for value in values)

@@ -17,26 +17,41 @@ whole approach (its §3.2 timing paragraph and §4 "major drawback"), so
 this module is the reproduction's main answer to that bottleneck; the
 measures in :mod:`repro.metrics.linkage_risk` route through it.
 
-Two layers of sharing keep repeated evaluations cheap:
+Three layers of sharing keep repeated evaluations cheap:
 
 * an :class:`OriginalIndex` holds everything that depends only on the
   original file and the attribute set — the distinct original tuples,
   the per-record inverse, per-tuple record counts, and the rank-position
   tables — computed once per (original, attributes) and reused by every
   candidate of a run (the GA scores thousands against one original);
+* the index also keeps one *tuple column* per masked tuple it has seen:
+  that tuple's distance, agreement pattern and rank score (per RSRL
+  window) against every distinct original tuple, and the pattern counts
+  those patterns add up to.  A grid column depends only on the original
+  and one masked tuple, and the tuple spaces are small (180 to 4200
+  tuples for the paper's four datasets), so a candidate's grids become
+  gathers of stored columns.  A column is filled the first time its key
+  is seen, by the same per-attribute broadcast run over the missing
+  tuples only, so every element equals the full-grid arithmetic bit for
+  bit.  Fills run under the index's lock and storage grows in blocks
+  that never move, so the index is safe to share between the thread job
+  backend's concurrent jobs.  Stored bytes per index are capped by
+  :data:`_COLUMN_BYTES`; past the cap, columns are computed the same way
+  and not kept;
 * a bounded, thread-local memo keyed by the (original, masked,
   attributes) fingerprints lets the three linkage measures of one
   evaluation — and all candidates of one evaluation batch — share their
   :class:`CompressedPair` objects.  Thread-locality makes the memo safe
-  under the service's thread job backend (concurrent jobs in one
-  process) without any locking.
+  under the thread job backend without any locking.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -70,16 +85,112 @@ def _decode_tuples(keys: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
+#: Bound on cached original indexes; distinct originals per process are
+#: few (one per dataset under evaluation), so this is a leak guard.
+_INDEX_CAPACITY = 8
+#: Bound on the tuple-column bytes one index stores.  It covers the
+#: paper's largest tuple space (Housing: 4200 tuples against 705
+#: original tuples, ~38 MB with three RSRL windows), so the bound only
+#: bites on wider attribute sets, whose tuple spaces can reach 2^62.
+_COLUMN_BYTES = 64 * 2**20
+#: Columns per storage block.  A block is allocated whole and never
+#: reallocated, so a gather keeps reading valid memory while another
+#: thread fills new columns.
+_BLOCK_COLUMNS = 256
+
+
+class _ColumnTable:
+    """One kind of tuple column, stored per masked tuple key.
+
+    ``fill(keys)`` computes the ``(len(keys), width)`` columns of those
+    keys.  Readers look keys up in an immutable snapshot ``(sorted keys,
+    their slots, blocks)``, which a store replaces whole only after the
+    new columns are written, so lookups and gathers take no lock.  Slot
+    ``s`` lives in row ``s % _BLOCK_COLUMNS`` of block
+    ``s // _BLOCK_COLUMNS``.
+    """
+
+    def __init__(
+        self, fill: Callable[[np.ndarray], np.ndarray], width: int, dtype, space: int
+    ) -> None:
+        self.fill = fill
+        self.width = width
+        self.dtype = np.dtype(dtype)
+        self.column_bytes = width * self.dtype.itemsize
+        #: Tuples in the key space: no table stores more columns than this.
+        self.space = space
+        self.stored = 0
+        self._last_rows = 0
+        self._snapshot: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] = (
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), ()
+        )
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """Storage slot of each key, -1 where no column is stored."""
+        known, slots, _ = self._snapshot
+        if known.size == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        position = np.minimum(np.searchsorted(known, keys), known.size - 1)
+        return np.where(known[position] == keys, slots[position], -1)
+
+    def read(self, slots: np.ndarray, out: np.ndarray) -> None:
+        """Copy the stored columns of ``slots >= 0`` into those rows of ``out``."""
+        blocks = self._snapshot[2]
+        # Floor division sends slot -1 to block -1, which matches no block.
+        block_of, row = np.divmod(slots, _BLOCK_COLUMNS)
+        for number, block in enumerate(blocks):
+            take = np.flatnonzero(block_of == number)
+            if take.size:
+                out[take] = block[row[take]]
+
+    def store(self, keys: np.ndarray, columns: np.ndarray, budget: int) -> int:
+        """Keep as many of ``columns`` as ``budget`` bytes of new blocks allow.
+
+        Caller holds the index lock.  Returns the bytes allocated.
+        """
+        known, slots, blocks = self._snapshot
+        blocks = list(blocks)
+        placed = []
+        spent = start = 0
+        while start < keys.shape[0]:
+            if not blocks or self._last_rows == blocks[-1].shape[0]:
+                rows = min(
+                    _BLOCK_COLUMNS, self.space - self.stored, (budget - spent) // self.column_bytes
+                )
+                if rows <= 0:
+                    break
+                blocks.append(np.empty((rows, self.width), dtype=self.dtype))
+                spent += rows * self.column_bytes
+                self._last_rows = 0
+            block = blocks[-1]
+            take = min(keys.shape[0] - start, block.shape[0] - self._last_rows)
+            block[self._last_rows:self._last_rows + take] = columns[start:start + take]
+            first = (len(blocks) - 1) * _BLOCK_COLUMNS + self._last_rows
+            placed.append(np.arange(first, first + take, dtype=np.int64))
+            self._last_rows += take
+            self.stored += take
+            start += take
+        if start:
+            merged = np.concatenate([known, keys[:start]])
+            order = np.argsort(merged, kind="stable")
+            self._snapshot = (
+                merged[order], np.concatenate([slots, *placed])[order], tuple(blocks)
+            )
+        return spent
+
+
 class OriginalIndex:
     """Original-side linkage geometry of one (original, attributes) binding.
 
     Everything here depends only on the original file: the distinct
     quasi-identifier tuples, each record's tuple index, how many records
-    carry each tuple, and the rank-position table of every attribute.
-    The GA evaluates thousands of candidates against one original, so
-    computing this once per run instead of once per candidate removes a
-    per-evaluation ``np.unique`` over the original plus one
-    ``rank_positions`` pass per attribute per candidate.
+    carry each tuple, the rank-position table of every attribute, and
+    the tuple columns of every masked tuple seen so far (see the module
+    docstring).  The GA evaluates thousands of candidates against one
+    original, so computing this once per run instead of once per
+    candidate removes a per-evaluation ``np.unique`` over the original,
+    one ``rank_positions`` pass per attribute, and the per-attribute
+    broadcast of every grid column already seen.
     """
 
     def __init__(self, original: CategoricalDataset, attributes: Sequence[str]) -> None:
@@ -99,10 +210,108 @@ class OriginalIndex:
         #: Rank-position table per attribute, in ``columns`` order.
         self.rank_tables = [rank_positions(original, d.name) for d in self.domains]
 
+        n_original = self.unique_original.shape[0]
+        n_attributes = len(self.domains)
+        self._space = space = math.prod(self.sizes)
+        self._lock = threading.Lock()
+        #: Bytes of column storage allocated, at most :data:`_COLUMN_BYTES`.
+        self.stored_bytes = 0
+        #: Distance column per masked tuple (DBRL).
+        self.distances = _ColumnTable(self._distance_columns, n_original, np.float64, space)
+        #: Agreement-pattern column per masked tuple (PRL scoring).
+        self.patterns = _ColumnTable(
+            self._pattern_columns, n_original, np.min_scalar_type(2**n_attributes - 1), space
+        )
+        #: ``H[key, p] = sum_o c_o [pattern(o, key) = p]`` (PRL's EM input).
+        self.pattern_counts = _ColumnTable(
+            self._pattern_count_rows, 2**n_attributes, np.float64, space
+        )
+        self._rank_scores: dict[float, _ColumnTable] = {}
 
-#: Bound on cached original indexes; distinct originals per process are
-#: few (one per dataset under evaluation), so this is a leak guard.
-_INDEX_CAPACITY = 8
+    # -- column kernels: the full-grid broadcasts, over some keys only ----
+
+    def _distance_columns(self, keys: np.ndarray) -> np.ndarray:
+        masked = _decode_tuples(keys, self.sizes)
+        total = np.zeros((self.unique_original.shape[0], keys.shape[0]))
+        for slot, domain in enumerate(self.domains):
+            x = self.unique_original[:, slot][:, None]
+            y = masked[:, slot][None, :]
+            if domain.ordinal and domain.size > 1:
+                total += np.abs(x - y) / (domain.size - 1)
+            else:
+                total += (x != y).astype(np.float64)
+        total /= len(self.domains)
+        return total.T
+
+    def _pattern_columns(self, keys: np.ndarray) -> np.ndarray:
+        masked = _decode_tuples(keys, self.sizes)
+        patterns = np.zeros((self.unique_original.shape[0], keys.shape[0]), dtype=np.int64)
+        for bit in range(len(self.domains)):
+            agree = self.unique_original[:, bit][:, None] == masked[:, bit][None, :]
+            patterns |= agree.astype(np.int64) << bit
+        return patterns.T
+
+    def _pattern_count_rows(self, keys: np.ndarray) -> np.ndarray:
+        # Integer-valued sums below 2^53, so exact in any order.
+        n_patterns = 2 ** len(self.domains)
+        patterns = self._pattern_columns(keys)
+        offsets = patterns + (np.arange(keys.shape[0]) * n_patterns)[:, None]
+        weights = np.broadcast_to(self.counts_original, patterns.shape)
+        counts = np.bincount(
+            offsets.ravel(), weights=weights.ravel(), minlength=keys.shape[0] * n_patterns
+        )
+        return counts.reshape(keys.shape[0], n_patterns)
+
+    def _rank_score_columns(self, window: float, keys: np.ndarray) -> np.ndarray:
+        masked = _decode_tuples(keys, self.sizes)
+        scores = np.zeros((self.unique_original.shape[0], keys.shape[0]), dtype=np.int64)
+        for slot in range(len(self.domains)):
+            positions = self.rank_tables[slot]
+            x = positions[self.unique_original[:, slot]][:, None]
+            y = positions[masked[:, slot]][None, :]
+            scores += (np.abs(x - y) <= window).astype(np.int64)
+        return scores.T
+
+    # -- the tables ---------------------------------------------------------
+
+    def rank_scores(self, window: float) -> _ColumnTable:
+        """The rank-score table of one RSRL window."""
+        window = float(window)
+        table = self._rank_scores.get(window)
+        if table is None:
+            with self._lock:
+                table = self._rank_scores.get(window)
+                if table is None:
+                    table = self._rank_scores[window] = _ColumnTable(
+                        partial(self._rank_score_columns, window),
+                        self.unique_original.shape[0],
+                        np.min_scalar_type(len(self.domains)),
+                        self._space,
+                    )
+        return table
+
+    def gather(self, table: _ColumnTable, keys: np.ndarray) -> np.ndarray:
+        """``table``'s columns of the distinct ``keys``, one row per key.
+
+        Keys without a stored column are filled under the lock and kept
+        while the index's byte bound allows.
+        """
+        out = np.empty((keys.shape[0], table.width), dtype=table.dtype)
+        slots = table.slots(keys)
+        if (slots < 0).any():
+            with self._lock:
+                # Another thread may have filled some of them meanwhile.
+                slots = table.slots(keys)
+                missing = np.flatnonzero(slots < 0)
+                fresh = table.fill(keys[missing])
+                out[missing] = fresh
+                self.stored_bytes += table.store(
+                    keys[missing], fresh, _COLUMN_BYTES - self.stored_bytes
+                )
+        table.read(slots, out)
+        return out
+
+
 _INDEX_LOCK = threading.Lock()
 _INDEX_MEMO: OrderedDict[tuple, OriginalIndex] = OrderedDict()
 
@@ -130,10 +339,13 @@ class CompressedPair:
 
     Attributes
     ----------
-    unique_original / unique_masked:
-        ``(u, a)`` matrices of the distinct quasi-identifier tuples.
+    unique_original:
+        ``(u_o, a)`` matrix of the distinct original quasi-identifier tuples.
+    keys_masked:
+        Sorted encoded keys of the ``u_m`` distinct masked tuples; the
+        index's tuple columns are looked up by these.
     inverse_original / inverse_masked:
-        Per-record index into the distinct-tuple matrices.
+        Per-record index into the distinct original tuples / masked keys.
     counts_masked:
         Number of masked records carrying each distinct masked tuple.
     """
@@ -154,71 +366,35 @@ class CompressedPair:
         self.attributes = tuple(attributes)
         self.columns = index.columns
         self.domains = index.domains
-        sizes = index.sizes
 
         self.inverse_original = index.inverse_original
         self.unique_original = index.unique_original
 
-        keys_masked = _encode_tuples(masked.codes[:, list(self.columns)], sizes)
-        unique_keys_m, self.inverse_masked, counts = np.unique(
+        keys_masked = _encode_tuples(masked.codes[:, list(self.columns)], index.sizes)
+        self.keys_masked, self.inverse_masked, counts = np.unique(
             keys_masked, return_inverse=True, return_counts=True
         )
         self.counts_masked = counts.astype(np.float64)
-        self.unique_masked = _decode_tuples(unique_keys_m, sizes)
 
     @property
     def n_records(self) -> int:
         return self.original.n_records
 
-    # -- grids over distinct tuples --------------------------------------
+    # -- grids over distinct tuples, as (u_o, u_m) views -------------------
 
     def distance_grid(self) -> np.ndarray:
         """Mean categorical distance between distinct tuple pairs, (u_o, u_m)."""
-        total = np.zeros((self.unique_original.shape[0], self.unique_masked.shape[0]))
-        for slot, domain in enumerate(self.domains):
-            x = self.unique_original[:, slot][:, None]
-            y = self.unique_masked[:, slot][None, :]
-            if domain.ordinal and domain.size > 1:
-                total += np.abs(x - y) / (domain.size - 1)
-            else:
-                total += (x != y).astype(np.float64)
-        total /= len(self.domains)
-        return total
+        return self.index.gather(self.index.distances, self.keys_masked).T
 
     def pattern_grid(self) -> np.ndarray:
-        """Agreement-pattern index between distinct tuple pairs, (u_o, u_m).
-
-        Cached on the pair because the PRL path needs it twice
-        (aggregating the pattern counts, then scoring under the fitted
-        weights); the second consumer releases it — see
-        :meth:`probabilistic_linkage_from_weights` — so pairs parked in
-        the memo don't pin an O(u_o * u_m) grid each.
-        """
-        cached = getattr(self, "_pattern_grid", None)
-        if cached is not None:
-            return cached
-        patterns = np.zeros(
-            (self.unique_original.shape[0], self.unique_masked.shape[0]), dtype=np.int64
-        )
-        for bit in range(len(self.domains)):
-            agree = self.unique_original[:, bit][:, None] == self.unique_masked[:, bit][None, :]
-            patterns |= agree.astype(np.int64) << bit
-        self._pattern_grid = patterns
-        return patterns
+        """Agreement-pattern index between distinct tuple pairs, (u_o, u_m)."""
+        return self.index.gather(self.index.patterns, self.keys_masked).T
 
     def rank_score_grid(self, window: float) -> np.ndarray:
         """Rank-compatible attribute count between distinct tuple pairs."""
         if not 0 < window <= 1:
             raise LinkageError(f"window must be in (0, 1], got {window}")
-        scores = np.zeros(
-            (self.unique_original.shape[0], self.unique_masked.shape[0]), dtype=np.int64
-        )
-        for slot in range(len(self.domains)):
-            positions = self.index.rank_tables[slot]
-            x = positions[self.unique_original[:, slot]][:, None]
-            y = positions[self.unique_masked[:, slot]][None, :]
-            scores += (np.abs(x - y) <= window).astype(np.int64)
-        return scores
+        return self.index.gather(self.index.rank_scores(window), self.keys_masked).T
 
     # -- fractional-credit linkage over a grid ----------------------------
 
@@ -231,10 +407,12 @@ class CompressedPair:
         row optimum, and the record scores ``1/ties`` if its own masked
         tuple is in the tie set.
         """
-        best = grid.max(axis=1) if best_is_max else grid.min(axis=1)
-        at_best = grid == best[:, None]
-        tie_counts = at_best @ self.counts_masked
-        hits = at_best[self.inverse_original, self.inverse_masked]
+        # One row per masked tuple: the gathered grids' memory order.
+        columns = grid.T
+        best = columns.max(axis=0) if best_is_max else columns.min(axis=0)
+        at_best = columns == best
+        tie_counts = self.counts_masked @ at_best
+        hits = at_best[self.inverse_masked, self.inverse_original]
         credits = hits / tie_counts[self.inverse_original]
         return float(credits.sum())
 
@@ -246,12 +424,11 @@ class CompressedPair:
         return 100.0 * correct / self.n_records
 
     def pattern_counts(self) -> np.ndarray:
-        """Aggregated agreement-pattern counts over all record pairs."""
-        patterns = self.pattern_grid()
-        weights = np.outer(self.index.counts_original, self.counts_masked)
-        return np.bincount(
-            patterns.ravel(), weights=weights.ravel(), minlength=2 ** len(self.domains)
-        )
+        """Aggregated agreement-pattern counts over all record pairs.
+
+        Exact: every term is an integer below 2^53.
+        """
+        return self.counts_masked @ self.index.gather(self.index.pattern_counts, self.keys_masked)
 
     def probabilistic_linkage(self) -> float:
         """PRL re-identification percentage (identical to the n^2 path)."""
@@ -263,20 +440,15 @@ class CompressedPair:
 
         The batch evaluator fits one EM over the whole candidate batch
         (see :func:`repro.linkage.prl.fit_fellegi_sunter_many`) and then
-        scores each pair with its own weight row through here.  This is
-        the pattern grid's last consumer in an evaluation, so the cached
-        grid is released — a pair living on in the memo keeps only its
-        small distinct-tuple matrices.
+        scores each pair with its own weight row through here.
         """
-        grid = pattern_weights[self.pattern_grid()]
-        self._pattern_grid = None
+        grid = pattern_weights.take(self.pattern_grid().T).T
         correct = self.fractional_correct(grid, best_is_max=True)
         return 100.0 * correct / self.n_records
 
     def rank_linkage(self, window: float = 0.1) -> float:
         """RSRL re-identification percentage (identical to the n^2 path)."""
-        grid = self.rank_score_grid(window).astype(np.float64)
-        correct = self.fractional_correct(grid, best_is_max=True)
+        correct = self.fractional_correct(self.rank_score_grid(window), best_is_max=True)
         return 100.0 * correct / self.n_records
 
 

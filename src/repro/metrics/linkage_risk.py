@@ -10,7 +10,11 @@ All three route through the tuple-compressed fast path of
 :mod:`repro.linkage.compressed`, which is exactly equivalent to the
 reference ``n^2`` implementations (asserted by the test suite) but
 several times faster — fitness evaluation is the paper's acknowledged
-bottleneck.
+bottleneck.  Each masked tuple's distance, pattern and rank-score
+column is computed once per original and stored on the shared
+:class:`~repro.linkage.compressed.OriginalIndex`, so after the first
+candidates a measure's cost is gathering its grid and the per-record
+tie pass (plus PRL's EM fit), not building the grid.
 """
 
 from __future__ import annotations

@@ -469,6 +469,7 @@ def flush_spans(
             dropped += int(existing.get("dropped", 0) or 0)
         for item in spans:
             merged[item["span_id"]] = item
+        _cover_trace(merged)
         payload = {
             "version": TRACE_BLOB_VERSION,
             "trace_id": trace_id,
@@ -484,6 +485,25 @@ def flush_spans(
     except Exception:  # noqa: BLE001 - telemetry must never kill the job
         get_registry().inc("repro_errors_total", event="trace_flush_error")
         return False
+
+
+def _cover_trace(merged: dict[str, dict]) -> None:
+    """Widen the ``repro.job`` root to cover every span merged with it.
+
+    :func:`flush_job_trace` times the root from the record's
+    ``submitted_at``, but the submitter opens ``repro.submit`` before
+    the store stamps that time, and the flushes of one trace arrive from
+    several processes in any order; only the merged set shows the
+    trace's full extent.
+    """
+    spans = list(merged.values())
+    start = min(item.get("start", 0.0) for item in spans)
+    end = max(item.get("start", 0.0) + item.get("duration", 0.0) for item in spans)
+    for span_id, item in merged.items():
+        if item.get("name") == "repro.job" and not item.get("parent_id"):
+            merged[span_id] = {
+                **item, "start": round(start, 6), "duration": round(end - start, 6)
+            }
 
 
 def load_trace(store: object, job_id: str) -> dict | None:
@@ -507,7 +527,8 @@ def flush_job_trace(
     submit-time head-sampling decision gates persistence except for
     failed jobs, which always keep their trace.  The root span reuses
     the identity minted at submit (``extras["trace"]["root"]``), so
-    repeated flushes update one root instead of stacking new ones.
+    repeated flushes update one root instead of stacking new ones, and
+    :func:`flush_spans` widens it to cover every span of the trace.
     """
     info = trace_context_from_extras(getattr(record, "extras", None))
     if info is None:

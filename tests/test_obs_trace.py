@@ -13,6 +13,7 @@ starting a fresh one.
 from __future__ import annotations
 
 import json
+import time as _time
 import urllib.error
 import urllib.request
 
@@ -21,12 +22,27 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.obs import trace
+from repro.service import store as store_module
 from repro.service import (
     JobStore,
     JobStoreServer,
     ProtectionJob,
     Worker,
 )
+
+
+class _AheadClock:
+    """The ``time`` module, with ``time()`` running ``skew`` seconds ahead."""
+
+    def __init__(self, skew: float) -> None:
+        self.skew = skew
+
+    def time(self) -> float:
+        return _time.time() + self.skew
+
+    def __getattr__(self, name: str):
+        return getattr(_time, name)
+
 
 EXPECTED_NAMES = {
     "repro.job",
@@ -608,12 +624,17 @@ class TestCliSurfaces:
     def traced_state(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace-cli-state")
         log_file = path / "logs" / "events.jsonl"
-        assert main([
-            "submit", "--dataset", "flare", "--generations", "2",
-            "--seed", "17", "--state-dir", str(path),
-            "--trace-sample", "1.0",
-            "--log-json-file", str(log_file),
-        ]) == 0
+        # The store's clock runs half a second ahead of the tracer's, so
+        # ``submitted_at`` lands after the ``repro.submit`` span opens:
+        # the job root must still start no later than that child.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store_module, "time", _AheadClock(0.5))
+            assert main([
+                "submit", "--dataset", "flare", "--generations", "2",
+                "--seed", "17", "--state-dir", str(path),
+                "--trace-sample", "1.0",
+                "--log-json-file", str(log_file),
+            ]) == 0
         trace.disable_tracing()
         obs.disable()
         obs.get_registry().reset()
@@ -623,12 +644,19 @@ class TestCliSurfaces:
 
     def test_trace_renders_connected_waterfall(self, traced_state, capsys):
         path, job_id, _ = traced_state
+        store = JobStore(path)
+        payload = trace.load_trace(store, job_id)
+        (root,) = [s for s in payload["spans"] if s["name"] == "repro.job"]
+        submitted = store.get(job_id).submitted_at
+        submit = next(s for s in payload["spans"] if s["name"] == "repro.submit")
+        assert submit["start"] < submitted  # the clock skew took effect
+        assert all(root["start"] <= s["start"] for s in payload["spans"])
         assert main(["trace", job_id, "--state-dir", path]) == 0
         out = capsys.readouterr().out
-        assert "repro.job" in out
         assert "repro.submit" in out
         assert "repro.run" in out
-        assert "100.0%" in out
+        (root_line,) = [line for line in out.splitlines() if "repro.job" in line]
+        assert "100.0%" in root_line
 
     def test_trace_json_is_the_raw_payload(self, traced_state, capsys):
         path, job_id, _ = traced_state
